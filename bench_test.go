@@ -11,6 +11,7 @@
 package popnaming
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -424,14 +425,15 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	const n = 12
 	pr := naming.NewSelfStab(n)
 	for i := 0; i < b.N; i++ {
-		results := sim.RunBatch(pr, 16, 100_000_000, 0, func(trial int) sim.Trial {
+		sup := sim.Supervision{StepBudget: 100_000_000, Slice: 100_000_000}
+		sum := sim.RunBatchSupervised(context.Background(), pr, 16, 0, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
 			r := rand.New(rand.NewSource(int64(i*100 + trial)))
 			return sim.Trial{
 				Cfg:   sim.ArbitraryConfig(pr, n, r),
 				Sched: sched.NewRandom(n, true, int64(i*100+trial)),
 			}
 		})
-		for _, br := range results {
+		for _, br := range sum.Results {
 			if !br.Result.Converged {
 				b.Fatal("batch trial did not converge")
 			}

@@ -18,9 +18,10 @@
 // and N may exceed P (naming is then unachievable by pigeonhole — the
 // large-N scaling regime). The count engine knows no agent identities,
 // so it is restricted to -sched random and -init zero|uniform, and the
-// identity-dependent flags (-audit, -adversary, -faults, -deadline,
-// -retries, -stall) are rejected at flag-parse time; -sampler picks the
-// state sampler (auto | fenwick | alias).
+// identity-dependent flags (-audit, -adversary, -faults) are rejected
+// at flag-parse time, as are -deadline, -retries and -stall (namesim
+// runs count trials unsupervised); -sampler picks the state sampler
+// (auto | fenwick | alias).
 //
 // Fault injection (see docs/robustness.md): -faults takes a fault-plan
 // string (events "@step:kind=arg" or "@conv:kind=arg"; kinds corrupt,
@@ -177,7 +178,7 @@ func countIncompatibility(o options) string {
 	case o.faults != "":
 		return "-faults (fault kinds target individual agents)"
 	case o.supervised():
-		return "-deadline/-retries/-stall (the supervised runner is agent-engine only)"
+		return "-deadline/-retries/-stall (namesim runs count trials unsupervised; ppserved and ppanalyze supervise them)"
 	case o.audit:
 		return "-audit (a fairness audit needs the agent-level schedule)"
 	case o.sched != "random":
@@ -371,7 +372,7 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 	var observer *obs.Observer
 	var finalCfg *core.Config
 	var col *trace.Collector
-	sr := sim.Supervise(context.Background(), sup, func(attempt int) *sim.Runner {
+	sr := sim.Supervise(context.Background(), sup, func(attempt int) sim.Executor {
 		seed := o.seed
 		if attempt > 0 {
 			seed = sim.DeriveSeed(o.seed, 0, attempt)
@@ -487,7 +488,7 @@ func runAdversarial(proto core.Protocol, cfg *core.Config, o options, sink *obs.
 // Journals from this path carry engine:"count", census records instead
 // of pair statistics, and the same per-rule fire counts as agent runs.
 func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
-	cc, err := buildCountConfig(proto, o.n, o.init)
+	cc, err := sim.CountStart(proto, o.n, o.init)
 	if err != nil {
 		return err
 	}
@@ -532,25 +533,6 @@ func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
 		observer.Dump(os.Stdout)
 	}
 	return nil
-}
-
-// buildCountConfig builds the starting counts for the count engine.
-// Only the identity-free initializations are representable: all-zero
-// and the protocol's uniform start ("arbitrary" draws an agent array).
-func buildCountConfig(proto core.Protocol, n int, initKey string) (*core.CountConfig, error) {
-	switch initKey {
-	case "zero":
-		cc := core.NewCountConfig(proto.States())
-		cc.Counts[0] = n
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
-	case "uniform":
-		return sim.UniformCountConfig(proto, n), nil
-	default:
-		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-	}
 }
 
 func header(tool string, proto core.Protocol, o options) obs.Header {

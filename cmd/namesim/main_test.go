@@ -64,30 +64,6 @@ func TestCountIncompatibility(t *testing.T) {
 	}
 }
 
-func TestBuildCountConfig(t *testing.T) {
-	spec, err := experiments.Lookup("initleader")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := spec.New(6)
-	cc, err := buildCountConfig(pr, 6, "zero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.N() != 6 || cc.Counts[0] != 6 {
-		t.Fatalf("zero init counts = %v", cc.Counts)
-	}
-	if cc.Leader == nil {
-		t.Fatal("leader protocol start lost its leader")
-	}
-	if _, err := buildCountConfig(pr, 6, "uniform"); err != nil {
-		t.Fatalf("uniform init: %v", err)
-	}
-	if _, err := buildCountConfig(pr, 6, "arbitrary"); err == nil {
-		t.Fatal("arbitrary init must be rejected as not count-representable")
-	}
-}
-
 // TestRunCountEveryProtocol drives the full namesim count path for every
 // registry protocol, checking the journal carries the count-engine
 // header and census records.

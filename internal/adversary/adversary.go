@@ -42,40 +42,43 @@ type Runner struct {
 	OnStep func(trace.Event)
 
 	candidates []core.Pair
-	lastSeen   map[core.Pair]int
-	steps      int
-	forced     int
+	// lastSeen, parallel to candidates, holds the step count after
+	// each pair's last interaction; both orderings of an unordered
+	// pair share one value, so fairness is per unordered pair.
+	lastSeen []int
+	lo       int // lowest agent index: -1 with a leader, else 0
+	steps    int
+	forced   int
 }
 
 // NewRunner returns an adversarial runner.
 func NewRunner(p core.Protocol, cfg *core.Config, adv Adversary) *Runner {
 	r := &Runner{Proto: p, Cfg: cfg, Adv: adv}
-	lo := 0
 	if core.HasLeader(p) {
-		lo = -1
+		r.lo = -1
 	}
-	for a := lo; a < cfg.N(); a++ {
-		for b := lo; b < cfg.N(); b++ {
+	for a := r.lo; a < cfg.N(); a++ {
+		for b := r.lo; b < cfg.N(); b++ {
 			if a != b {
 				r.candidates = append(r.candidates, core.Pair{A: a, B: b})
 			}
 		}
 	}
-	r.lastSeen = make(map[core.Pair]int)
-	for _, c := range r.candidates {
-		r.lastSeen[unordered(c)] = 0
-	}
+	r.lastSeen = make([]int, len(r.candidates))
 	if r.Window == 0 {
-		r.Window = 8 * len(r.lastSeen)
+		r.Window = 8 * len(r.candidates) / 2 // 8 x unordered pairs
 	}
 	return r
 }
 
-func unordered(p core.Pair) core.Pair {
-	if p.A > p.B {
-		return core.Pair{A: p.B, B: p.A}
+// index returns the position of an ordered pair in candidates, which
+// lists pairs in row-major order without the diagonal.
+func (r *Runner) index(p core.Pair) int {
+	a, b := p.A-r.lo, p.B-r.lo
+	if b > a {
+		b--
 	}
-	return p
+	return a*(r.Cfg.N()-r.lo-1) + b
 }
 
 // Steps returns the number of interactions executed.
@@ -97,21 +100,24 @@ func (r *Runner) Step() bool {
 		r.OnStep(trace.Event{Step: r.steps, Pair: pair, NonNull: changed})
 	}
 	r.steps++
-	r.lastSeen[unordered(pair)] = r.steps
+	r.lastSeen[r.index(pair)] = r.steps
+	r.lastSeen[r.index(core.Pair{A: pair.B, B: pair.A})] = r.steps
 	return changed
 }
 
 func (r *Runner) next() (core.Pair, bool) {
-	// Most-overdue pair past the window preempts.
-	var worst core.Pair
+	// Most-overdue pair past the window preempts; among equally
+	// overdue pairs the first candidate wins, so the choice is
+	// deterministic (and is the ordering with the lower index first).
+	worst := -1
 	worstWait := -1
-	for u, last := range r.lastSeen {
+	for i, last := range r.lastSeen {
 		if wait := r.steps - last; wait >= r.Window && wait > worstWait {
-			worst, worstWait = u, wait
+			worst, worstWait = i, wait
 		}
 	}
-	if worstWait >= 0 {
-		return worst, true
+	if worst >= 0 {
+		return r.candidates[worst], true
 	}
 	return r.Adv.Pick(r.Cfg, r.candidates), false
 }

@@ -52,6 +52,36 @@ func TestRunnerEnforcesWeakFairness(t *testing.T) {
 	}
 }
 
+// TestRunnerDeterministic: two runners from one configuration and
+// adversary play identical schedules, fairness preemptions included —
+// every pair starts equally overdue, so the tie-break must not depend
+// on iteration order.
+func TestRunnerDeterministic(t *testing.T) {
+	const p, steps = 4, 20000
+	pr := naming.NewGlobalP(p)
+	play := func() ([]trace.Event, int) {
+		cfg := sim.ArbitraryConfig(pr, p, rand.New(rand.NewSource(3)))
+		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
+		var col trace.Collector
+		run.OnStep = col.Record
+		run.Run(steps)
+		return col.Events(), run.Forced()
+	}
+	a, forced := play()
+	b, _ := play()
+	if forced == 0 {
+		t.Fatal("run too short to force a fairness preemption")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("step %d differs: %v vs %v (%d preemptions in the first run)", i, a[i], b[i], forced)
+		}
+	}
+}
+
 // TestGreedyDefeatsGlobalPAtFullPopulation extends Theorem 11's
 // evidence beyond model-checkable sizes: under enforced weak fairness,
 // the greedy anti-naming adversary prevents Protocol 3 from converging

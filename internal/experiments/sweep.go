@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -121,8 +122,10 @@ func Sweep(name string, mkProto func(p int) core.Protocol, opts SweepOptions) Sw
 		point := SweepPoint{N: n, Trials: opts.Trials}
 		// Trials are independent; run them on all cores. Each trial
 		// derives its randomness from (Seed, N, trial), so results are
-		// independent of worker scheduling.
-		batch := sim.RunBatch(pr, opts.Trials, opts.Budget, 0, func(trial int) sim.Trial {
+		// independent of worker scheduling. One slice of the whole
+		// budget keeps a bare run's stopping rule.
+		sup := sim.Supervision{StepBudget: opts.Budget, Slice: opts.Budget}
+		batch := sim.RunBatchSupervised(context.Background(), pr, opts.Trials, 0, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
 			r := rand.New(rand.NewSource(opts.Seed + int64(nn*100000+trial)))
 			var s sched.Scheduler
 			if opts.Global {
@@ -133,7 +136,7 @@ func Sweep(name string, mkProto func(p int) core.Protocol, opts SweepOptions) Sw
 			return sim.Trial{Cfg: startConfig(pr, nn, r, opts.Start), Sched: s}
 		})
 		var steps []float64
-		for _, br := range batch {
+		for _, br := range batch.Results {
 			if !br.Result.Converged || !br.Result.Final.ValidNaming() {
 				point.Failures++
 				continue

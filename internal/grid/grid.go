@@ -140,8 +140,8 @@ func (sp *Spec) normalize() error {
 		}
 		seenPop[p] = true
 	}
-	// The count engine rejects faults and supervision at admission;
-	// a mixed grid would produce a ragged product, so reject it whole.
+	// The count engine rejects faults at admission; a mixed grid would
+	// produce a ragged product, so reject it whole.
 	for _, e := range sp.Engines {
 		if e != "count" {
 			continue
@@ -150,9 +150,6 @@ func (sp *Spec) normalize() error {
 			if f != "" {
 				return fmt.Errorf("grid: engine \"count\" cannot combine with fault plan %q (faults target individual agents); split the grid", f)
 			}
-		}
-		if sp.Stall != 0 || sp.Retries != 0 || sp.DeadlineMS != 0 {
-			return fmt.Errorf("grid: engine \"count\" runs unsupervised; drop stall/retries/deadlineMs or split the grid")
 		}
 	}
 	if sp.Sampler != "" {

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"regexp"
 	"strings"
@@ -50,13 +51,17 @@ func TestParseStrict(t *testing.T) {
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4},{"p":6,"n":4}]}`,    // dup population
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":-1}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"faults":["@1:corrupt=1"]}`,
-		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"sampler":"alias"}`, // sampler on agent engine
 	}
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("Parse accepted %s", src)
 		}
+	}
+	// Count cells take supervision like agent cells.
+	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2}`)
+	if err := sp.Validate(); err != nil || sp.Retries != 2 {
+		t.Errorf("count grid with retries: retries %d, validate: %v", sp.Retries, err)
 	}
 }
 
@@ -233,14 +238,45 @@ func stripWallClock(b []byte) []byte {
 	return re.ReplaceAll(b, []byte(`"$1":0`))
 }
 
+// TestLocalRunnerDeterministic runs each engine's cell twice on two
+// workers sharing the journal sink. Records of different trials
+// interleave as the workers are scheduled, but each trial's records,
+// in order, must be byte-identical across runs.
 func TestLocalRunnerDeterministic(t *testing.T) {
-	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":2,"budget":100000,"seed":9}`)
-	c := sp.Cells()[0]
-	a := stripWallClock(runCellBuf(t, sp, c))
-	b := stripWallClock(runCellBuf(t, sp, c))
-	if !bytes.Equal(a, b) {
-		t.Errorf("same cell produced different journals:\n%s\n---\n%s", a, b)
+	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["agent","count"],"trials":4,"workers":2,"budget":100000,"seed":9}`)
+	for _, c := range sp.Cells() {
+		t.Run(c.Engine, func(t *testing.T) {
+			a, b := byTrial(t, runCellBuf(t, sp, c)), byTrial(t, runCellBuf(t, sp, c))
+			if len(a) != 4 {
+				t.Fatalf("journal covers %d trials, want 4", len(a))
+			}
+			for trial, recs := range a {
+				if recs != b[trial] {
+					t.Errorf("trial %d records differ:\n%s\n---\n%s", trial, recs, b[trial])
+				}
+			}
+		})
 	}
+}
+
+// byTrial groups a journal's wall-clock-stripped lines by trial tag,
+// keeping each trial's order (untagged records group with trial 0).
+func byTrial(t *testing.T, journal []byte) map[int]string {
+	t.Helper()
+	out := map[int]string{}
+	for _, line := range bytes.SplitAfter(stripWallClock(journal), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var probe struct {
+			Trial int `json:"trial"`
+		}
+		if err := json.Unmarshal(line, &probe); err != nil {
+			t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		out[probe.Trial] += string(line)
+	}
+	return out
 }
 
 func TestConvergenceCDF(t *testing.T) {

@@ -20,7 +20,7 @@ type CellStats struct {
 	Cell Cell
 
 	// Trials/Converged/Aborted come from the batch_summary record;
-	// Retried counts supervision retries (agent engine only).
+	// Retried counts supervision retries.
 	Trials    int
 	Converged int
 	Aborted   int

@@ -19,10 +19,15 @@ func countSpec() Spec {
 	}
 }
 
+// acceptCount marks the cases of TestCountAdmissionRejections that
+// count-engine jobs support: admitted and run to done.
+const acceptCount = "accept"
+
 // TestCountAdmissionRejections pins the structured 400 contract: every
 // identity-dependent feature on a count-engine job is rejected at
 // admission with kind "count-incompatible" and the offending feature
-// named in the error body.
+// named in the error body. Supervision is not identity-dependent: the
+// deadline/retries/stall cases are admitted and run to done.
 func TestCountAdmissionRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	cases := []struct {
@@ -33,9 +38,9 @@ func TestCountAdmissionRejections(t *testing.T) {
 		{"campaign", func(sp *Spec) { sp.Kind = KindCampaign }, "kind:campaign"},
 		{"table1", func(sp *Spec) { sp.Kind = KindTable1; sp.Protocol = ""; sp.P = 0; sp.N = 0 }, "kind:table1"},
 		{"faults", func(sp *Spec) { sp.Faults = "@conv:corrupt=2" }, "faults"},
-		{"deadline", func(sp *Spec) { sp.DeadlineMS = 1000 }, "supervision"},
-		{"retries", func(sp *Spec) { sp.Retries = 1 }, "supervision"},
-		{"stall", func(sp *Spec) { sp.Stall = 100 }, "supervision"},
+		{"deadline", func(sp *Spec) { sp.DeadlineMS = 60_000 }, acceptCount},
+		{"retries", func(sp *Spec) { sp.Retries = 1 }, acceptCount},
+		{"stall", func(sp *Spec) { sp.Stall = 100 }, acceptCount},
 		{"roundrobin", func(sp *Spec) { sp.Sched = "roundrobin" }, "sched:roundrobin"},
 		{"matching", func(sp *Spec) { sp.Sched = "matching" }, "sched:matching"},
 		{"arbitrary", func(sp *Spec) { sp.Init = "arbitrary" }, "init:arbitrary"},
@@ -46,7 +51,14 @@ func TestCountAdmissionRejections(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sp := countSpec()
 			c.mutate(&sp)
-			code, _, e, _ := postJob(t, ts, sp)
+			code, v, e, _ := postJob(t, ts, sp)
+			if c.feature == acceptCount {
+				if code != http.StatusAccepted {
+					t.Fatalf("status %d, error %+v; want 202", code, e)
+				}
+				waitState(t, ts, v.ID, StateDone, 30*time.Second)
+				return
+			}
 			if code != http.StatusBadRequest || e == nil {
 				t.Fatalf("status %d, error %+v; want 400 with body", code, e)
 			}

@@ -97,13 +97,9 @@ func (s *Server) runShardLocal(j *Job, ctx context.Context, r dist.Range) ([][]b
 	sp := j.v.spec
 	sink := &lineSink{}
 	bo := sim.BatchObs{Sink: sink, ProgressEvery: sp.ProgressEvery}
-	if sp.Engine == "count" {
-		sim.RunCountBatchRange(ctx, j.v.proto, r.Lo, r.Hi, sp.Budget, sp.Workers, bo, countTrialMaker(j.v))
-	} else {
-		sup := j.supervision()
-		sup.Sink = sink
-		sim.RunBatchRangeSupervised(ctx, j.v.proto, r.Lo, r.Hi, sp.Workers, sup, bo, batchTrialMaker(j.v))
-	}
+	sup := j.supervision()
+	sup.Sink = sink
+	sim.RunBatchRangeSupervised(ctx, j.v.proto, r.Lo, r.Hi, sp.Workers, sup, bo, batchTrialMaker(j.v))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

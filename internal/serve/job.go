@@ -82,12 +82,13 @@ type Spec struct {
 	// "agent" (or empty, the default) runs the agent-array engine;
 	// "count" runs the count-based (Gillespie) engine, whose per-step
 	// cost is independent of N — N may then exceed P, up to the
-	// pair-weight overflow bound. The count engine has no agent
-	// identities, so identity-dependent features (campaign/table1 kinds,
-	// fault plans, supervision, non-random schedulers, arbitrary init)
-	// are rejected at admission with a structured 400 naming the
-	// feature. Sampler picks its state sampler (auto | fenwick | alias;
-	// count jobs only).
+	// pair-weight overflow bound. Count trials run under the same
+	// supervision (deadlineMs, retries, stall) and tracing as agent
+	// trials, but the count engine has no agent identities, so
+	// identity-dependent features (campaign/table1 kinds, fault plans,
+	// non-random schedulers, arbitrary init) are rejected at admission
+	// with a structured 400 naming the feature. Sampler picks its state
+	// sampler (auto | fenwick | alias; count jobs only).
 	Engine  string `json:"engine,omitempty"`
 	Sampler string `json:"sampler,omitempty"`
 
@@ -220,10 +221,6 @@ func prepare(spec Spec) (*validated, *Error) {
 		if sp.Faults != "" {
 			return nil, countBadRequest("faults",
 				"count-engine jobs cannot inject faults: fault kinds target individual agents")
-		}
-		if sp.DeadlineMS != 0 || sp.Retries != 0 || sp.Stall != 0 {
-			return nil, countBadRequest("supervision",
-				"count-engine jobs run unsupervised: deadlineMs/retries/stall are agent-engine features")
 		}
 		if !sim.ValidCountSampler(sp.Sampler) {
 			return nil, badRequest("unknown sampler %q (auto | fenwick | alias)", sp.Sampler)
@@ -415,7 +412,7 @@ func validateRun(v *validated) *Error {
 			return countBadRequest("init:arbitrary",
 				"arbitrary initialization draws an agent array; count-engine jobs take init zero | uniform")
 		}
-		cc, err := buildCountStart(v.proto, sp.N, sp.Init)
+		cc, err := sim.CountStart(v.proto, sp.N, sp.Init)
 		if err != nil {
 			return badRequest("%v", err)
 		}
@@ -479,16 +476,16 @@ func (p *Prepared) SeedDerived() bool { return p.v.seedDerived }
 // job, under the given tool name.
 func (p *Prepared) Header(tool string) obs.Header { return headerFor(p.v, tool) }
 
-// TrialMaker returns the per-trial constructor for agent-engine
-// batches, with the service's seed recipe (see batchTrialMaker).
+// TrialMaker returns the per-trial constructor for batches on the
+// spec's engine, with the service's seed recipe (see batchTrialMaker).
 func (p *Prepared) TrialMaker() func(trial, attempt int) sim.Trial {
 	return batchTrialMaker(p.v)
 }
 
-// CountTrialMaker returns the per-trial constructor for count-engine
-// batches, with the service's seed recipe (see countTrialMaker).
-func (p *Prepared) CountTrialMaker() func(trial int) sim.CountTrial {
-	return countTrialMaker(p.v)
+// CountTrialMaker is TrialMaker at attempt 0.
+func (p *Prepared) CountTrialMaker() func(trial int) sim.Trial {
+	mk := p.TrialMaker()
+	return func(trial int) sim.Trial { return mk(trial, 0) }
 }
 
 // Supervision returns the sim.Supervision for the spec's bounds, wired

@@ -36,26 +36,6 @@ func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.
 	}
 }
 
-// buildCountStart mirrors buildConfig in count space: the subset of
-// initialization keys whose starting configurations are exchangeable —
-// fully described by per-state counts. "arbitrary" draws an agent
-// array and is rejected at admission before this is reached.
-func buildCountStart(proto core.Protocol, n int, initKey string) (*core.CountConfig, error) {
-	switch initKey {
-	case "zero":
-		cc := core.NewCountConfig(proto.States())
-		cc.Counts[0] = n
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
-	case "uniform":
-		return sim.UniformCountConfig(proto, n), nil
-	default:
-		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-	}
-}
-
 // buildScheduler mirrors the CLI scheduler keys minus eclipse (an
 // attack-study scheduler with extra knobs the job schema doesn't
 // carry). The per-trial scheduler seed is trialSeed+1, matching the
@@ -150,19 +130,12 @@ func (s *Server) execute(j *Job) error {
 		return err
 	}
 	j.queueSpan.End()
-	count := j.v.spec.Engine == "count"
 	switch j.v.spec.Kind {
 	case KindSim:
-		if count {
-			return s.runCountSim(j)
-		}
 		return s.runSim(j)
 	case KindBatch:
 		if s.distEligible(j) {
 			return s.runDistBatch(j)
-		}
-		if count {
-			return s.runCountBatch(j)
 		}
 		return s.runBatch(j)
 	case KindCampaign:
@@ -174,47 +147,30 @@ func (s *Server) execute(j *Job) error {
 	}
 }
 
-// runSim executes one supervised trial, exactly namesim's supervised
-// path: per-attempt seeds sim.DeriveSeed(seed, 0, attempt), scheduler
-// seed attemptSeed+1, fresh injector per attempt.
+// runSim executes one supervised trial on the spec's engine, exactly
+// namesim's supervised path: per-attempt seeds sim.DeriveSeed(seed, 0,
+// attempt) after attempt 0's job seed (see trialFor).
 func (s *Server) runSim(j *Job) error {
 	sp := j.v.spec
-	pr := j.v.proto
-	var finalCfg *core.Config
-	sr := sim.Supervise(j.ctx, j.supervision(), func(attempt int) *sim.Runner {
+	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
+	sr := sim.Supervise(j.ctx, j.supervision(), func(attempt int) sim.Executor {
 		seed := sp.Seed
 		if attempt > 0 {
 			seed = sim.DeriveSeed(sp.Seed, 0, attempt)
 		}
-		cfg, _ := buildConfig(pr, sp.N, sp.Init, seed)
-		finalCfg = cfg
-		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
-		runner := sim.NewRunner(pr, sc, cfg)
-		if !j.v.plan.Empty() {
-			inj, _ := fault.NewInjector(j.v.plan, pr, seed)
-			inj.Sink = j.buf
-			runner.Inject = inj
-		}
-		o := obs.NewObserver(sp.N, core.HasLeader(pr), obs.ObserverOptions{
-			Sink:          j.buf,
-			ProgressEvery: sp.ProgressEvery,
-		})
-		runner.Obs = o
-		j.setLive(o)
-		return runner
+		ex := sim.NewExecutor(j.v.proto, trialFor(j.v, seed), nil, bo, 0)
+		j.setLive(ex.Observer())
+		return ex
 	})
-	sum := &JobSummary{
-		Status:    sr.Status.String(),
-		Reason:    sr.Reason,
-		Converged: sr.Converged,
-		Steps:     int64(sr.Steps),
-		NonNull:   int64(sr.NonNull),
-		OK:        sr.Status != sim.TrialAborted,
-	}
-	if finalCfg != nil {
-		sum.ValidNaming = finalCfg.ValidNaming()
-	}
-	j.setSummary(sum)
+	j.setSummary(&JobSummary{
+		Status:      sr.Status.String(),
+		Reason:      sr.Reason,
+		Converged:   sr.Converged,
+		ValidNaming: sr.ValidNaming(),
+		Steps:       int64(sr.Steps),
+		NonNull:     int64(sr.NonNull),
+		OK:          sr.Status != sim.TrialAborted,
+	})
 	s.met.trialSteps.Add(uint64(sr.Steps))
 	s.met.trialNonNull.Add(uint64(sr.NonNull))
 	s.met.trialsRun.Inc()
@@ -224,88 +180,35 @@ func (s *Server) runSim(j *Job) error {
 	return nil
 }
 
-// runCountSim executes one count-engine trial. The engine seed is
-// sp.Seed+1 — the scheduler-seed role (see CountRunner.Seed), matching
-// runSim's attempt-0 scheduler wiring, so a count sim job and the
-// equivalent namesim -engine count run share the seed recipe shape.
-func (s *Server) runCountSim(j *Job) error {
-	sp := j.v.spec
-	pr := j.v.proto
-	cc, err := buildCountStart(pr, sp.N, sp.Init)
-	if err != nil {
-		return err
-	}
-	runner, err := sim.NewCountRunner(pr, cc, sp.Seed+1)
-	if err != nil {
-		return err
-	}
-	runner.Sampler = sp.Sampler
-	runner.Interrupt = func() bool { return j.ctx.Err() != nil }
-	o := obs.NewObserver(sp.N, core.HasLeader(pr), obs.ObserverOptions{
-		Sink:          j.buf,
-		ProgressEvery: sp.ProgressEvery,
-		NoPairs:       true,
-	})
-	runner.Obs = o
-	j.setLive(o)
-	res, err := runner.Run(sp.Budget)
-	if err != nil {
-		return err
-	}
-	status, reason := "ok", ""
-	if j.ctx.Err() != nil {
-		status, reason = "aborted", "interrupt"
-	}
-	j.setSummary(&JobSummary{
-		Status:      status,
-		Reason:      reason,
-		Converged:   res.Converged,
-		ValidNaming: cc.ValidNaming(),
-		Steps:       int64(res.Steps),
-		NonNull:     int64(res.NonNull),
-		OK:          j.ctx.Err() == nil,
-	})
-	s.met.trialSteps.Add(uint64(res.Steps))
-	s.met.trialNonNull.Add(uint64(res.NonNull))
-	s.met.trialsRun.Inc()
-	if res.Converged {
-		s.met.trialsConverged.Inc()
-	}
-	return nil
-}
-
-// countTrialMaker builds the per-trial constructor for count-engine
-// batches: trialSeed = DeriveSeed(jobSeed, trial, 0), engine seed
-// trialSeed+1 (the scheduler-seed role). The trial index is the global
-// one, so the same maker serves full batches and shard ranges.
-func countTrialMaker(v *validated) func(trial int) sim.CountTrial {
+// trialFor builds one attempt's trial from its seed, on the spec's
+// engine: agent trials take the configuration from seed, the scheduler
+// from seed+1 (matching the stabilization experiments, so a seeded
+// service job replays the equivalent direct run exactly) and a fresh
+// injector seeded with seed; count trials take the count engine seed
+// seed+1, the scheduler-seed role. The keys were validated at
+// admission, so the builders cannot fail here.
+func trialFor(v *validated, seed int64) sim.Trial {
 	sp := v.spec
-	pr := v.proto
-	return func(trial int) sim.CountTrial {
-		seed := sim.DeriveSeed(sp.Seed, trial, 0)
-		cc, _ := buildCountStart(pr, sp.N, sp.Init)
-		return sim.CountTrial{Cfg: cc, Seed: seed + 1, Sampler: sp.Sampler}
+	if sp.Engine == "count" {
+		cc, _ := sim.CountStart(v.proto, sp.N, sp.Init)
+		return sim.Trial{Count: cc, Seed: seed + 1, Sampler: sp.Sampler}
 	}
+	cfg, _ := buildConfig(v.proto, sp.N, sp.Init, seed)
+	sc, _ := buildScheduler(v.proto, sp.N, sp.Sched, seed+1)
+	t := sim.Trial{Cfg: cfg, Sched: sc}
+	if !v.plan.Empty() {
+		t.Inject, _ = fault.NewInjector(v.plan, v.proto, seed)
+	}
+	return t
 }
 
-// batchTrialMaker builds the per-trial constructor for agent-engine
-// batches with the experiment harness's seed recipe: trialSeed =
-// DeriveSeed(jobSeed, trial, attempt), scheduler seed trialSeed+1,
-// injector seeded with trialSeed. Global trial indexes, like
-// countTrialMaker.
+// batchTrialMaker builds the per-trial constructor for batches with the
+// experiment harness's seed recipe: trialFor(DeriveSeed(jobSeed, trial,
+// attempt)). The trial index is the global one, so the same maker
+// serves full batches and shard ranges.
 func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
-	sp := v.spec
-	pr := v.proto
 	return func(trial, attempt int) sim.Trial {
-		seed := sim.DeriveSeed(sp.Seed, trial, attempt)
-		cfg, _ := buildConfig(pr, sp.N, sp.Init, seed)
-		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
-		t := sim.Trial{Cfg: cfg, Sched: sc}
-		if !v.plan.Empty() {
-			inj, _ := fault.NewInjector(v.plan, pr, seed)
-			t.Inject = inj
-		}
-		return t
+		return trialFor(v, sim.DeriveSeed(v.spec.Seed, trial, attempt))
 	}
 }
 
@@ -317,32 +220,6 @@ func (j *Job) shardRange() (lo, hi int) {
 		return sp.Shard.Lo, sp.Shard.Hi
 	}
 	return 0, sp.Trials
-}
-
-// runCountBatch executes independent count-engine trials with the
-// batch seed recipe (see countTrialMaker), so a seeded count batch
-// replays the equivalent direct sim.RunCountBatch call. A shard job
-// runs just its range; trial seeds derive from global indexes either
-// way, so the shard's records match the same trials of a full run.
-func (s *Server) runCountBatch(j *Job) error {
-	sp := j.v.spec
-	pr := j.v.proto
-	lo, hi := j.shardRange()
-	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
-	sum := sim.RunCountBatchRange(j.ctx, pr, lo, hi, sp.Budget, sp.Workers, bo, countTrialMaker(j.v))
-	j.setSummary(&JobSummary{
-		Trials:          sum.Trials,
-		TrialsConverged: sum.Converged,
-		Aborted:         sum.Aborted,
-		Steps:           sum.TotalSteps,
-		NonNull:         sum.TotalNonNull,
-		OK:              sum.Converged == sum.Trials,
-	})
-	s.met.trialSteps.Add(uint64(sum.TotalSteps))
-	s.met.trialNonNull.Add(uint64(sum.TotalNonNull))
-	s.met.trialsRun.Add(uint64(sum.Trials))
-	s.met.trialsConverged.Add(uint64(sum.Converged))
-	return nil
 }
 
 // runBatch executes a supervised batch with the experiment harness's

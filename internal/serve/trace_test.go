@@ -150,18 +150,31 @@ func TestTracedJobDeterminism(t *testing.T) {
 	}
 }
 
-// TestTracedSimSpanTree pins the span-tree shape of a traced sim job
-// with fault injection: job -> queue plus job -> attempt -> slice, the
-// injected fault surfacing as an event on the attempt span.
+// TestTracedSimSpanTree pins the span-tree shape of traced jobs on
+// either engine: job -> queue plus job -> attempt -> slice for a sim
+// job, with a trial level (job -> trial -> attempt -> slice) for a
+// batch. On the agent engine an injected fault surfaces as an event on
+// the attempt span.
 func TestTracedSimSpanTree(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
-	spec := Spec{
-		Kind: KindSim, Protocol: "asym", P: 4, N: 4,
-		Seed: 5, Budget: 200_000, Faults: "@1000:corrupt=1", Trace: true,
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"agent", Spec{Kind: KindSim, Protocol: "asym", P: 4, N: 4, Seed: 5, Budget: 200_000, Faults: "@1000:corrupt=1", Trace: true}},
+		{"count", Spec{Kind: KindSim, Protocol: "asym", P: 4, N: 4, Engine: "count", Seed: 5, Budget: 200_000, Trace: true}},
+		{"count-batch", Spec{Kind: KindBatch, Protocol: "asym", P: 4, N: 4, Engine: "count", Seed: 5, Trials: 2, Budget: 200_000, Trace: true}},
 	}
-	_, lines := runTraced(t, ts, spec)
-	spans := spanRecs(t, lines)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, lines := runTraced(t, ts, c.spec)
+			checkSpanTree(t, spanRecs(t, lines), c.spec)
+		})
+	}
+}
 
+func checkSpanTree(t *testing.T, spans []obs.SpanRec, spec Spec) {
+	t.Helper()
 	byName := make(map[string][]obs.SpanRec)
 	for _, sp := range spans {
 		byName[sp.Name] = append(byName[sp.Name], sp)
@@ -179,10 +192,25 @@ func TestTracedSimSpanTree(t *testing.T) {
 	if queue.Parent != root.Span {
 		t.Fatalf("queue span parent %q, want job span %q", queue.Parent, root.Span)
 	}
+	// A sim job's attempts hang off the job span; a batch's off its
+	// trial spans.
+	attemptParents := map[string]bool{root.Span: true}
+	if spec.Kind == KindBatch {
+		attemptParents = map[string]bool{}
+		if len(byName["trial"]) != spec.Trials {
+			t.Fatalf("got %d trial spans, want %d", len(byName["trial"]), spec.Trials)
+		}
+		for _, sp := range byName["trial"] {
+			if sp.Parent != root.Span {
+				t.Fatalf("trial span parent %q, want job span %q", sp.Parent, root.Span)
+			}
+			attemptParents[sp.Span] = true
+		}
+	}
 	attemptIDs := make(map[string]bool)
 	for _, sp := range byName["attempt"] {
-		if sp.Parent != root.Span {
-			t.Fatalf("attempt span parent %q, want job span %q", sp.Parent, root.Span)
+		if !attemptParents[sp.Parent] {
+			t.Fatalf("attempt span parent %q is neither the sim job span nor a batch trial span", sp.Parent)
 		}
 		attemptIDs[sp.Span] = true
 	}
@@ -195,7 +223,11 @@ func TestTracedSimSpanTree(t *testing.T) {
 	for _, sp := range byName["attempt"] {
 		fired = append(fired, sp.Events...)
 	}
-	if len(fired) != 1 || fired[0].Name != "corrupt" || fired[0].Step < 1000 {
+	if spec.Faults == "" {
+		if len(fired) != 0 {
+			t.Fatalf("attempt span events %+v without a fault plan", fired)
+		}
+	} else if len(fired) != 1 || fired[0].Name != "corrupt" || fired[0].Step < 1000 {
 		t.Fatalf("attempt span events %+v, want one corrupt at step >= 1000", fired)
 	}
 	if root.QueueWaitNS <= 0 {

@@ -12,10 +12,11 @@ import (
 	"popnaming/internal/sched"
 )
 
-// Trial describes one independent execution of a batch: its starting
-// configuration, scheduler and optional fault injector. Batches share
-// one Protocol value across goroutines, which is safe because protocols
-// are immutable and their transition functions are pure.
+// Trial describes one attempt of an independent execution on either
+// engine. Agent-engine trials set Cfg, Sched and optionally Inject;
+// count-engine trials set Count, Seed and optionally Sampler. Batches
+// share one Protocol value across goroutines, which is safe because
+// protocols are immutable and their transition functions are pure.
 type Trial struct {
 	Cfg   *core.Config
 	Sched sched.Scheduler
@@ -23,6 +24,77 @@ type Trial struct {
 	// injector. Injectors are single-use: supervised batches call
 	// mkTrial once per attempt and expect a fresh one each time.
 	Inject *fault.Injector
+
+	// Count, when non-nil, selects the count engine: the starting
+	// census, mutated in place like Cfg.
+	Count *core.CountConfig
+	// Seed seeds the count engine's RNG (the scheduler-seed role; see
+	// CountRunner.Seed).
+	Seed int64
+	// Sampler picks the count engine's state sampler (see
+	// CountSamplers).
+	Sampler string
+}
+
+// Executor is one attempt of a trial on either engine, as the
+// supervisor drives it: *Runner for the agent engine, *CountRunner for
+// the count engine. NewExecutor is where a Trial picks between them.
+type Executor interface {
+	// Observer returns the attached observer (nil when unobserved).
+	Observer() *obs.Observer
+
+	// run executes until silence or until maxSteps interactions in
+	// total, testing silence first, and leaves the observer open.
+	run(maxSteps int) Result
+	// snapshot is the result so far with Converged false: an aborted
+	// attempt's partial result.
+	snapshot() Result
+	// quietStreak is the current run of consecutive null interactions.
+	quietStreak() int
+	// finish finishes the attached observer, if any.
+	finish(converged bool)
+	// fired lists the fault injections fired so far.
+	fired() []fault.Fired
+}
+
+// NewExecutor builds the executor for one attempt of trial t of pr —
+// the one place the engine is chosen: the count engine when t.Count is
+// set, the agent engine otherwise. tab, when non-nil, is pr's compiled
+// table shared across a batch's trials (nil: the executor compiles its
+// own). When bo.Sink is set the executor journals through a fresh
+// observer tagged with the trial index, and so does the trial's fault
+// injector. Like NewRunner on a leader mismatch, it panics on a count
+// trial the count engine cannot run; admission validates those with
+// NewCountRunner.
+func NewExecutor(pr core.Protocol, t Trial, tab *core.Compiled, bo BatchObs, trial int) Executor {
+	oo := obs.ObserverOptions{Sink: bo.Sink, ProgressEvery: bo.ProgressEvery, Trial: trial}
+	if t.Count != nil {
+		r, err := newCountRunner(pr, t.Count, t.Seed, tab)
+		if err != nil {
+			panic(err)
+		}
+		r.Sampler = t.Sampler
+		if bo.Sink != nil {
+			oo.NoPairs = true
+			r.Obs = obs.NewObserver(t.Count.N(), core.HasLeader(pr), oo)
+		}
+		return r
+	}
+	r := NewRunner(pr, t.Sched, t.Cfg)
+	if t.Inject != nil {
+		t.Inject.Trial = trial
+		if bo.Sink != nil {
+			t.Inject.Sink = bo.Sink
+		}
+		r.Inject = t.Inject
+	}
+	if bo.Sink != nil {
+		r.Obs = obs.NewObserver(t.Cfg.N(), core.HasLeader(pr), oo)
+	}
+	if tab != nil {
+		r.UseCompiled(tab)
+	}
+	return r
 }
 
 // BatchResult pairs a trial index with its outcome.
@@ -30,9 +102,8 @@ type BatchResult struct {
 	Trial  int
 	Result Result
 	// Status, Attempts and Reason carry the supervision outcome (see
-	// SupervisedResult); plain RunBatch trials always report TrialOK
-	// with one attempt. A trial whose batch deadline or interrupt hit
-	// before it started is TrialAborted with a zero Result (nil Final).
+	// SupervisedResult). A trial whose batch deadline or interrupt hit
+	// before it started is TrialAborted with a zero Result.
 	Status   TrialStatus
 	Attempts int
 	Reason   string
@@ -60,8 +131,7 @@ type BatchSummary struct {
 	Trials    int
 	Converged int
 	// Aborted and Retried count trials cut short by supervision and
-	// trials that completed only after a stall retry (both zero for
-	// unsupervised batches).
+	// trials that completed only after a stall retry.
 	Aborted int
 	Retried int
 	// TotalSteps and TotalNonNull sum the interaction counts of all
@@ -95,32 +165,6 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 		WallNS:       s.WallNS,
 		Utilization:  s.Utilization,
 	}
-}
-
-// RunBatch executes independent trials concurrently on up to `workers`
-// goroutines (0 selects GOMAXPROCS) and returns the results indexed by
-// trial. mkTrial is called exactly once per trial index, from the worker
-// goroutine that runs it; the configurations and schedulers it returns
-// must not be shared across trials.
-func RunBatch(pr core.Protocol, trials, budget, workers int, mkTrial func(trial int) Trial) []BatchResult {
-	return RunBatchObserved(pr, trials, budget, workers, BatchObs{}, mkTrial).Results
-}
-
-// RunBatchObserved is RunBatch with observability: each trial gets its
-// own obs.Observer journaling to the shared sink (when one is set), and
-// the merged batch summary — wall clock, worker utilization and the
-// convergence-step histogram — is returned and journaled. With a zero
-// BatchObs it degrades to exactly RunBatch's unobserved fast path.
-//
-// It is the unsupervised special case of RunBatchSupervised: one
-// attempt per trial, the whole budget in one slice, no deadline — so
-// results are step-for-step what a bare Runner.Run(budget) per trial
-// produces.
-func RunBatchObserved(pr core.Protocol, trials, budget, workers int, bo BatchObs, mkTrial func(trial int) Trial) BatchSummary {
-	sup := Supervision{StepBudget: budget, Slice: budget}
-	return RunBatchSupervised(context.Background(), pr, trials, workers, sup, bo, func(trial, attempt int) Trial {
-		return mkTrial(trial)
-	})
 }
 
 // RunBatchSupervised executes independent supervised trials
@@ -163,10 +207,11 @@ func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, work
 	if workers > trials {
 		workers = trials
 	}
-	withLeader := core.HasLeader(pr)
 	// Compile once and share the (immutable) table across all workers,
 	// instead of once per trial. A protocol that fails to compile runs
-	// every trial on the interface path, as a single run would.
+	// every agent trial on the interface path, as a single run would;
+	// count trials need the table and compile their own (NewExecutor
+	// panics if they cannot).
 	var tab *core.Compiled
 	if pr.States() <= maxCompiledStates {
 		tab, _ = core.Compile(pr)
@@ -226,27 +271,8 @@ func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, work
 					tspan.Trial = i
 					tsup.Trace = tspan.Context()
 				}
-				sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
-					t := mkTrial(i, attempt)
-					run := NewRunner(pr, t.Sched, t.Cfg)
-					if t.Inject != nil {
-						t.Inject.Trial = i
-						if bo.Sink != nil {
-							t.Inject.Sink = bo.Sink
-						}
-						run.Inject = t.Inject
-					}
-					if bo.Sink != nil {
-						run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-							Sink:          bo.Sink,
-							ProgressEvery: bo.ProgressEvery,
-							Trial:         i,
-						})
-					}
-					if tab != nil {
-						run.UseCompiled(tab)
-					}
-					return run
+				sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) Executor {
+					return NewExecutor(pr, mkTrial(i, attempt), tab, bo, i)
 				})
 				if tspan != nil {
 					tspan.Attr("attempts", int64(sr.Attempts)).Attr("steps", int64(sr.Result.Steps)).Attr("nonNull", int64(sr.Result.NonNull))

@@ -1,16 +1,13 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
-	"time"
 
 	"popnaming/internal/core"
+	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 )
 
@@ -340,45 +337,23 @@ func newCountSampler(name string, counts []int, n int) (countSampler, error) {
 	}
 }
 
-// CountResult summarizes one count-engine execution, mirroring Result.
-type CountResult struct {
-	Converged bool
-	Steps     int
-	NonNull   int
-	// Final is the last configuration (aliased, not copied).
-	Final *core.CountConfig
-}
-
-// ParallelTime returns interactions divided by population size.
-func (r CountResult) ParallelTime(n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(r.Steps) / float64(n)
-}
-
-func (r CountResult) String() string {
-	status := "did not converge"
-	if r.Converged {
-		status = "converged"
-	}
-	return fmt.Sprintf("%s after %d interactions (%d non-null): %s", status, r.Steps, r.NonNull, r.Final)
-}
-
 // CountRunner executes one protocol instance over a count-space
 // configuration. It requires a compilable protocol (the transition
 // table is the whole engine) and an in-bounds population (see
 // core.TotalPairWeight); NewCountRunner checks both.
 //
-// The runner is deliberately leaner than Runner: it has no scheduler
-// (the pair law is fixed to uniform random — the one scheduler whose
-// executions are count-measurable), no fault injector (fault kinds
-// target agent identities), and no interpreted path. Convergence
-// semantics match Runner exactly: silence is tested initially and after
-// every full QuietThreshold window of consecutive null interactions, so
-// converged Steps include the same quiet tail and the two engines'
-// convergence-step distributions agree (the differential tests hold
-// them to a Kolmogorov–Smirnov test).
+// It is an Executor like Runner, so Supervise and the batch pool drive
+// it with the same deadline, stall retry, slices and spans. What it
+// lacks is what count space cannot express: a scheduler (the pair law
+// is fixed to uniform random — the one scheduler whose executions are
+// count-measurable), a fault injector (fault kinds target agent
+// identities) and an interpreted path. Convergence semantics match
+// Runner exactly: each run tests silence first and then after every
+// full QuietThreshold window of consecutive null interactions — so a
+// supervised count trial, like an agent trial, also tests it at every
+// slice boundary — and the two engines' convergence-step distributions
+// agree (the differential tests hold them to a Kolmogorov–Smirnov
+// test).
 type CountRunner struct {
 	Proto core.Protocol
 	// Cfg is mutated in place as transitions are applied.
@@ -404,11 +379,6 @@ type CountRunner struct {
 	// and TrackCensus itself.
 	Obs *obs.Observer
 
-	// Interrupt, when non-nil, is polled every few thousand steps; a
-	// true return stops the run at that boundary (Converged reports
-	// the actual silence state).
-	Interrupt func() bool
-
 	tab    *core.Compiled
 	census *core.Census
 	smp    countSampler
@@ -428,15 +398,25 @@ type CountRunner struct {
 // any N (naming itself is then unachievable by pigeonhole), and the
 // large-N scaling benchmarks depend on exactly that.
 func NewCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64) (*CountRunner, error) {
+	return newCountRunner(p, cfg, seed, nil)
+}
+
+// newCountRunner is NewCountRunner over p's already compiled table
+// (nil: compile it here).
+func newCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64, tab *core.Compiled) (*CountRunner, error) {
 	if core.HasLeader(p) != (cfg.Leader != nil) {
 		return nil, fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
 	}
-	if q := p.States(); q > maxCompiledStates {
-		return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
-	}
-	tab, err := core.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+	if tab == nil {
+		if q := p.States(); q > maxCompiledStates {
+			return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
+		}
+		var err error
+		if tab, err = core.Compile(p); err != nil {
+			return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+		}
+	} else if tab.Source() != p {
+		return nil, fmt.Errorf("sim: compiled table of %q used for a count runner of %q", tab.Name(), p.Name())
 	}
 	if len(cfg.Counts) != p.States() {
 		return nil, fmt.Errorf("sim: count configuration has %d states, protocol %q declares %d", len(cfg.Counts), p.Name(), p.States())
@@ -575,28 +555,26 @@ func (r *CountRunner) drawResponder(p core.State) core.State {
 // initially and then whenever the execution has been quiet (all-null)
 // for a full QuietThreshold window — the same schedule as Runner.Run,
 // so the two engines' Steps distributions are comparable. When Obs is
-// set, Run finishes it before returning.
-func (r *CountRunner) Run(maxSteps int) (CountResult, error) {
+// set, Run finishes it before returning. The error reports an unknown
+// Sampler.
+func (r *CountRunner) Run(maxSteps int) (Result, error) {
 	if err := r.ensure(); err != nil {
-		return CountResult{}, err
+		return Result{}, err
 	}
 	res := r.run(maxSteps)
-	if r.Obs != nil {
-		r.Obs.Finish(res.Converged)
-	}
+	r.finish(res.Converged)
 	return res, nil
 }
 
-func (r *CountRunner) run(maxSteps int) CountResult {
+func (r *CountRunner) run(maxSteps int) Result {
+	if err := r.ensure(); err != nil {
+		panic(err)
+	}
 	if r.silent() {
-		return CountResult{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 	}
 	threshold := r.quietThreshold()
-	const interruptMask = 1<<14 - 1
 	for r.steps < maxSteps {
-		if r.Interrupt != nil && r.steps&interruptMask == 0 && r.Interrupt() {
-			break
-		}
 		changed := r.step()
 		r.steps++
 		if changed {
@@ -605,175 +583,30 @@ func (r *CountRunner) run(maxSteps int) CountResult {
 		} else {
 			r.quiet++
 			if r.quiet%threshold == 0 && r.silent() {
-				return CountResult{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+				return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 			}
 		}
 	}
-	return CountResult{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	return Result{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 }
 
-// CountTrial describes one independent count-engine execution.
-type CountTrial struct {
-	Cfg *core.CountConfig
-	// Seed seeds the trial runner (the scheduler-seed role; see
-	// CountRunner.Seed).
-	Seed int64
-	// Sampler optionally overrides the sampler per trial.
-	Sampler string
+// Observer returns the attached observer (nil when unobserved).
+func (r *CountRunner) Observer() *obs.Observer { return r.Obs }
+
+func (r *CountRunner) snapshot() Result {
+	return Result{Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 }
 
-// CountBatchResult pairs a trial index with its outcome.
-type CountBatchResult struct {
-	Trial  int
-	Result CountResult
-	// Aborted marks a trial claimed after cancellation (zero Result);
-	// Err carries a per-trial construction failure (population out of
-	// bounds, table mismatch).
-	Aborted bool
-	Err     error
-}
+func (r *CountRunner) quietStreak() int { return r.quiet }
 
-// CountBatchSummary aggregates one count-engine batch, mirroring
-// BatchSummary; Record emits the same batch_summary journal record.
-type CountBatchSummary struct {
-	Results         []CountBatchResult
-	Trials          int
-	Converged       int
-	Aborted         int
-	TotalSteps      int64
-	TotalNonNull    int64
-	StepsToConverge obs.Histogram
-	Workers         int
-	WallNS          int64
-	Utilization     float64
-}
-
-// Record converts the summary to its journal record.
-func (s *CountBatchSummary) Record() obs.BatchSummaryRec {
-	return obs.BatchSummaryRec{
-		V:            obs.Version,
-		Type:         "batch_summary",
-		Trials:       s.Trials,
-		Converged:    s.Converged,
-		Aborted:      s.Aborted,
-		TotalSteps:   s.TotalSteps,
-		TotalNonNull: s.TotalNonNull,
-		StepsHist:    s.StepsToConverge.Buckets(),
-		Workers:      s.Workers,
-		WallNS:       s.WallNS,
-		Utilization:  s.Utilization,
+func (r *CountRunner) finish(converged bool) {
+	if r.Obs != nil {
+		r.Obs.Finish(converged)
 	}
 }
 
-// RunCountBatch executes independent count-engine trials concurrently
-// on up to `workers` goroutines (0 selects GOMAXPROCS). mkTrial is
-// called exactly once per trial index from the worker goroutine that
-// runs it. ctx cancellation marks unclaimed trials aborted and stops
-// in-flight trials at their next interrupt poll; a nil ctx is
-// context.Background(). When bo.Sink is set every trial gets its own
-// trial-tagged observer (progress + census records) and the batch
-// closes with the merged batch_summary record.
-func RunCountBatch(ctx context.Context, pr core.Protocol, trials, budget, workers int, bo BatchObs, mkTrial func(trial int) CountTrial) CountBatchSummary {
-	return RunCountBatchRange(ctx, pr, 0, trials, budget, workers, bo, mkTrial)
-}
-
-// RunCountBatchRange runs the contiguous trial range [lo, hi) of a
-// logical count batch. As with RunBatchRangeSupervised, every index
-// that escapes (mkTrial argument, result and record tags) is the
-// global trial index, so shard records are byte-identical to the same
-// trials in a full run; the summary describes just the range.
-func RunCountBatchRange(ctx context.Context, pr core.Protocol, lo, hi, budget, workers int, bo BatchObs, mkTrial func(trial int) CountTrial) CountBatchSummary {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	trials := hi - lo
-	if trials < 0 {
-		trials = 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	withLeader := core.HasLeader(pr)
-	out := make([]CountBatchResult, trials)
-	busy := make([]int64, workers)
-	start := time.Now()
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				off := next
-				next++
-				mu.Unlock()
-				if off >= trials {
-					return
-				}
-				i := lo + off
-				if ctx.Err() != nil {
-					out[off] = CountBatchResult{Trial: i, Aborted: true}
-					continue
-				}
-				t0 := time.Now()
-				t := mkTrial(i)
-				run, err := NewCountRunner(pr, t.Cfg, t.Seed)
-				if err != nil {
-					out[off] = CountBatchResult{Trial: i, Err: err}
-					continue
-				}
-				run.Sampler = t.Sampler
-				run.Interrupt = func() bool { return ctx.Err() != nil }
-				if bo.Sink != nil {
-					run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-						Sink:          bo.Sink,
-						ProgressEvery: bo.ProgressEvery,
-						Trial:         i,
-						NoPairs:       true,
-					})
-				}
-				res, err := run.Run(budget)
-				out[off] = CountBatchResult{Trial: i, Result: res, Err: err}
-				busy[w] += time.Since(t0).Nanoseconds()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	sum := CountBatchSummary{
-		Results: out,
-		Trials:  trials,
-		Workers: workers,
-		WallNS:  time.Since(start).Nanoseconds(),
-	}
-	for _, br := range out {
-		sum.TotalSteps += int64(br.Result.Steps)
-		sum.TotalNonNull += int64(br.Result.NonNull)
-		if br.Result.Converged {
-			sum.Converged++
-			sum.StepsToConverge.Observe(int64(br.Result.Steps))
-		}
-		if br.Aborted {
-			sum.Aborted++
-		}
-	}
-	var totalBusy int64
-	for _, b := range busy {
-		totalBusy += b
-	}
-	if sum.WallNS > 0 && workers > 0 {
-		sum.Utilization = float64(totalBusy) / (float64(sum.WallNS) * float64(workers))
-	}
-	if bo.Sink != nil {
-		_ = bo.Sink.Emit(sum.Record())
-	}
-	return sum
-}
+// fired is always empty: the count engine takes no fault injector.
+func (r *CountRunner) fired() []fault.Fired { return nil }
 
 // UniformCountConfig builds the protocol's intended starting
 // configuration in count space: all N agents in the uniform initial
@@ -790,4 +623,25 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 		cc.Leader = lp.InitLeader()
 	}
 	return cc
+}
+
+// CountStart builds the starting census for an initialization key.
+// Only the keys whose starting configurations are exchangeable — fully
+// described by per-state counts — are representable: "zero" (every
+// agent in state 0) and "uniform" (UniformCountConfig); "arbitrary"
+// draws an agent array.
+func CountStart(p core.Protocol, n int, initKey string) (*core.CountConfig, error) {
+	switch initKey {
+	case "zero":
+		cc := core.NewCountConfig(p.States())
+		cc.Counts[0] = n
+		if lp, ok := p.(core.LeaderProtocol); ok {
+			cc.Leader = lp.InitLeader()
+		}
+		return cc, nil
+	case "uniform":
+		return UniformCountConfig(p, n), nil
+	default:
+		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
+	}
 }

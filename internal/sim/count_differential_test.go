@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"testing"
 
 	"popnaming/internal/core"
@@ -20,57 +21,41 @@ const (
 	countDiffAlpha  = 1e-3
 )
 
-// agentStepsSample runs `trials` agent-engine executions with the
-// standard seed recipe (config from trialSeed, scheduler from
-// trialSeed+1) and returns the converged Steps values plus the
-// converged count.
-func agentStepsSample(pr core.Protocol, n int, base int64, trials int) ([]float64, int) {
+// stepsSample runs `trials` trials of one engine ("agent", or a count
+// sampler name) through the batch pool under sup, with the standard
+// seed recipe — config from trialSeed, scheduler from trialSeed+1; the
+// count engine folds the same config to count space and takes the
+// scheduler's seed — and returns the converged Steps values plus the
+// converged count. Equal seeds cannot reproduce trajectories across
+// engines (randomness is consumed differently), so only the
+// distributions are comparable — which is exactly what the KS test
+// checks.
+func stepsSample(t *testing.T, pr core.Protocol, n int, base int64, trials int, sup sim.Supervision, engine string) ([]float64, int) {
+	t.Helper()
 	withLeader := core.HasLeader(pr)
+	sum := sim.RunBatchSupervised(context.Background(), pr, trials, 1, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
+		seed := sim.DeriveSeed(base, trial, attempt)
+		cfg := diffStart(pr, n, seed)
+		if engine == "agent" {
+			return sim.Trial{Cfg: cfg, Sched: sched.NewRandom(n, withLeader, seed+1)}
+		}
+		cc, err := core.CountsOf(cfg, pr.States())
+		if err != nil {
+			t.Error(err)
+		}
+		return sim.Trial{Count: cc, Seed: seed + 1, Sampler: engine}
+	})
 	var steps []float64
-	converged := 0
-	for i := 0; i < trials; i++ {
-		seed := sim.DeriveSeed(base, i, 0)
-		r := sim.NewRunner(pr, sched.NewRandom(n, withLeader, seed+1), diffStart(pr, n, seed))
-		res := r.Run(countDiffBudget)
-		if res.Converged {
-			converged++
-			steps = append(steps, float64(res.Steps))
+	for _, br := range sum.Results {
+		if br.Result.Converged {
+			steps = append(steps, float64(br.Result.Steps))
 		}
 	}
-	return steps, converged
+	return steps, sum.Converged
 }
 
-// countStepsSample is the count-engine mirror: the same per-trial
-// config seeds, folded to count space, with the runner seeded like the
-// scheduler. Equal seeds cannot reproduce trajectories across engines
-// (randomness is consumed differently), so only the distributions are
-// comparable — which is exactly what the KS test checks.
-func countStepsSample(t *testing.T, pr core.Protocol, n int, base int64, trials int, sampler string) ([]float64, int) {
-	t.Helper()
-	var steps []float64
-	converged := 0
-	for i := 0; i < trials; i++ {
-		seed := sim.DeriveSeed(base, i, 0)
-		cc, err := core.CountsOf(diffStart(pr, n, seed), pr.States())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := sim.NewCountRunner(pr, cc, seed+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Sampler = sampler
-		res, err := r.Run(countDiffBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Converged {
-			converged++
-			steps = append(steps, float64(res.Steps))
-		}
-	}
-	return steps, converged
-}
+// bareRun is the one-slice supervision of a bare Run(countDiffBudget).
+var bareRun = sim.Supervision{StepBudget: countDiffBudget, Slice: countDiffBudget}
 
 // TestCountMatchesAgentDistribution is the tentpole differential test:
 // for every registry protocol, the count engine's convergence-step
@@ -79,6 +64,18 @@ func countStepsSample(t *testing.T, pr core.Protocol, n int, base int64, trials 
 // must not converge under either engine (`naive` is incorrect by
 // design); partially converging ones are held to consistent rates.
 func TestCountMatchesAgentDistribution(t *testing.T) {
+	testEnginesAgree(t, bareRun)
+}
+
+// TestCountMatchesAgentSupervised holds the engines to the same KS bar
+// under one default-slice Supervision, where both test silence at
+// every slice boundary too: a grid's agent and count cells share that
+// stopping rule, so their distributions must still agree.
+func TestCountMatchesAgentSupervised(t *testing.T) {
+	testEnginesAgree(t, sim.Supervision{StepBudget: countDiffBudget})
+}
+
+func testEnginesAgree(t *testing.T, sup sim.Supervision) {
 	if testing.Short() {
 		t.Skip("differential distribution test is not short")
 	}
@@ -88,8 +85,8 @@ func TestCountMatchesAgentDistribution(t *testing.T) {
 			t.Parallel()
 			pr, n := diffCase(t, key)
 			base := int64(52000)
-			agent, agentConv := agentStepsSample(pr, n, base, countDiffTrials)
-			count, countConv := countStepsSample(t, pr, n, base, countDiffTrials, "auto")
+			agent, agentConv := stepsSample(t, pr, n, base, countDiffTrials, sup, "agent")
+			count, countConv := stepsSample(t, pr, n, base, countDiffTrials, sup, "auto")
 
 			t.Logf("converged: agent %d/%d, count %d/%d", agentConv, countDiffTrials, countConv, countDiffTrials)
 			// Convergence rates must agree to within what a binomial at
@@ -120,8 +117,8 @@ func TestCountSamplersAgree(t *testing.T) {
 	}
 	pr, n := diffCase(t, "asym")
 	base := int64(61000)
-	fen, fenConv := countStepsSample(t, pr, n, base, countDiffTrials, "fenwick")
-	ali, aliConv := countStepsSample(t, pr, n, base+1, countDiffTrials, "alias")
+	fen, fenConv := stepsSample(t, pr, n, base, countDiffTrials, bareRun, "fenwick")
+	ali, aliConv := stepsSample(t, pr, n, base+1, countDiffTrials, bareRun, "alias")
 	if fenConv < 30 || aliConv < 30 {
 		t.Fatalf("not enough converged trials: fenwick %d, alias %d", fenConv, aliConv)
 	}

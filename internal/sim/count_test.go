@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 )
 
@@ -281,6 +282,8 @@ func (fakeLeader) Equal(o core.LeaderState) bool { _, ok := o.(fakeLeader); retu
 func (fakeLeader) Key() string                   { return "fake" }
 func (fakeLeader) String() string                { return "fake" }
 
+// TestCountRunnerInterrupt: the supervisor's interrupt stops a count
+// executor at its first slice boundary, before any interaction.
 func TestCountRunnerInterrupt(t *testing.T) {
 	pr := churnProto(8)
 	cc := core.NewCountConfig(8)
@@ -289,13 +292,13 @@ func TestCountRunnerInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Interrupt = func() bool { return true }
-	res, err := r.Run(1 << 30)
-	if err != nil {
-		t.Fatal(err)
+	sup := Supervision{StepBudget: 1 << 30, Interrupt: func() bool { return true }}
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor { return r })
+	if sr.Status != TrialAborted || sr.Reason != "interrupt" {
+		t.Fatalf("status %s reason %q, want aborted/interrupt", sr.Status, sr.Reason)
 	}
-	if res.Converged || res.Steps != 0 {
-		t.Fatalf("immediate interrupt should stop at step 0: %v", res)
+	if sr.Converged || sr.Steps != 0 || sr.Census != cc {
+		t.Fatalf("immediate interrupt should stop at step 0 with the census: %v", sr.Result)
 	}
 }
 
@@ -360,54 +363,6 @@ func TestCountRunnerObserver(t *testing.T) {
 	}
 }
 
-func TestRunCountBatch(t *testing.T) {
-	pr := mergeProto()
-	sink := &syncSink{}
-	sum := RunCountBatch(context.Background(), pr, 8, 10_000_000, 4,
-		BatchObs{Sink: sink, ProgressEvery: 1000},
-		func(trial int) CountTrial {
-			cc := core.NewCountConfig(3)
-			cc.Counts[0], cc.Counts[1] = 40, 40
-			return CountTrial{Cfg: cc, Seed: DeriveSeed(900, trial, 0) + 1}
-		})
-	if sum.Trials != 8 || sum.Converged != 8 || sum.Aborted != 0 {
-		t.Fatalf("batch summary: %+v", sum)
-	}
-	for _, br := range sum.Results {
-		if br.Err != nil {
-			t.Fatalf("trial %d: %v", br.Trial, br.Err)
-		}
-		if !br.Result.Converged {
-			t.Fatalf("trial %d did not converge", br.Trial)
-		}
-	}
-	rec := sum.Record()
-	if rec.Type != "batch_summary" || rec.Trials != 8 || rec.Converged != 8 {
-		t.Fatalf("batch record: %+v", rec)
-	}
-	var batchRecs int
-	for _, r := range sink.take() {
-		if _, ok := r.(obs.BatchSummaryRec); ok {
-			batchRecs++
-		}
-	}
-	if batchRecs != 1 {
-		t.Fatalf("want exactly one batch_summary record, got %d", batchRecs)
-	}
-
-	// A canceled context aborts unclaimed trials.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sum = RunCountBatch(ctx, pr, 5, 1000, 2, BatchObs{}, func(trial int) CountTrial {
-		cc := core.NewCountConfig(3)
-		cc.Counts[0], cc.Counts[1] = 10, 10
-		return CountTrial{Cfg: cc, Seed: int64(trial)}
-	})
-	if sum.Aborted != 5 {
-		t.Fatalf("canceled batch: %d aborted, want 5", sum.Aborted)
-	}
-}
-
 func TestUniformCountConfigMatchesAgent(t *testing.T) {
 	pr := mergeProto()
 	agent := UniformConfig(pr, 25)
@@ -420,6 +375,26 @@ func TestUniformCountConfigMatchesAgent(t *testing.T) {
 		if folded.Counts[s] != direct.Counts[s] {
 			t.Fatalf("state %d: folded %d != direct %d", s, folded.Counts[s], direct.Counts[s])
 		}
+	}
+}
+
+func TestCountStart(t *testing.T) {
+	pr := naming.NewInitLeader(6)
+	cc, err := CountStart(pr, 6, "zero")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.N() != 6 || cc.Counts[0] != 6 {
+		t.Fatalf("zero init counts = %v", cc.Counts)
+	}
+	if cc.Leader == nil {
+		t.Fatal("leader protocol start lost its leader")
+	}
+	if _, err := CountStart(pr, 6, "uniform"); err != nil {
+		t.Fatalf("uniform init: %v", err)
+	}
+	if _, err := CountStart(pr, 6, "arbitrary"); err == nil {
+		t.Fatal("arbitrary init must be rejected as not count-representable")
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,7 +233,7 @@ func TestSuperviseStallRetry(t *testing.T) {
 	const n = 2
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{StepBudget: 10_000_000, StallQuiet: 1024, Retries: 1, Slice: 4096}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		cfg := zeroStart(n)
 		run := NewRunner(pr, sched.NewRoundRobin(n, false), cfg)
 		if attempt == 0 {
@@ -254,7 +255,7 @@ func TestSuperviseStallAborts(t *testing.T) {
 	const n = 2
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{StepBudget: 10_000_000, StallQuiet: 1024, Slice: 4096}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		cfg := zeroStart(n)
 		run := NewRunner(pr, sched.NewRoundRobin(n, false), cfg)
 		run.Inject = mustInjector(t, mustPlan(t, "@0:crash=1"), pr, 6)
@@ -274,7 +275,7 @@ func TestSuperviseDeadline(t *testing.T) {
 	const n = 4
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{Deadline: time.Nanosecond}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		return NewRunner(pr, sched.NewRoundRobin(n, false), zeroStart(n))
 	})
 	if sr.Status != TrialAborted || sr.Reason != "deadline" {
@@ -288,7 +289,7 @@ func TestSuperviseInterrupt(t *testing.T) {
 	const n = 4
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{Interrupt: func() bool { return true }}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		return NewRunner(pr, sched.NewRoundRobin(n, false), zeroStart(n))
 	})
 	if sr.Status != TrialAborted || sr.Reason != "interrupt" {
@@ -303,7 +304,7 @@ func TestSuperviseOK(t *testing.T) {
 	const n = 6
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{StepBudget: 10_000_000}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(7)))
 		return NewRunner(pr, sched.NewRandom(n, false, 7), cfg)
 	})
@@ -347,22 +348,54 @@ func TestRunBatchSupervisedDeadlineTagsTrials(t *testing.T) {
 	}
 }
 
-// TestRunBatchSupervisedRetries: every trial wedges on its first attempt
-// and completes on retry; the summary counts them all as retried.
+// TestRunBatchSupervisedRetries: every trial stalls on its first
+// attempt and completes on a retry built from the derived seed; the
+// summary counts them all as retried. Agent trials wedge on a crashed
+// agent; count trials start with one (0, 1) pair among 10⁴ agents of
+// the inert state 2, so the only non-null encounter is rare enough to
+// stall, while the retry's start has nothing else.
 func TestRunBatchSupervisedRetries(t *testing.T) {
-	const n, trials = 2, 4
-	pr := naming.NewAsymmetric(n)
+	const trials = 4
 	sup := Supervision{StepBudget: 10_000_000, StallQuiet: 1024, Retries: 1, Slice: 4096}
-	sum := RunBatchSupervised(context.Background(), pr, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
-		tr := Trial{Cfg: zeroStart(n), Sched: sched.NewRoundRobin(n, false)}
-		if attempt == 0 {
-			tr.Inject = mustInjector(t, mustPlan(t, "@0:crash=1"), pr, DeriveSeed(8, trial, attempt))
-		}
-		return tr
-	})
-	if sum.Retried != trials || sum.Converged != trials || sum.Aborted != 0 {
-		t.Fatalf("retried %d converged %d aborted %d, want %d/%d/0",
-			sum.Retried, sum.Converged, sum.Aborted, trials, trials)
+	cases := map[string]struct {
+		pr core.Protocol
+		mk func(pr core.Protocol, trial, attempt int) Trial
+	}{
+		"agent": {naming.NewAsymmetric(2), func(pr core.Protocol, trial, attempt int) Trial {
+			tr := Trial{Cfg: zeroStart(2), Sched: sched.NewRoundRobin(2, false)}
+			if attempt == 0 {
+				tr.Inject = mustInjector(t, mustPlan(t, "@0:crash=1"), pr, DeriveSeed(8, trial, attempt))
+			}
+			return tr
+		}},
+		"count": {mergeProto(), func(pr core.Protocol, trial, attempt int) Trial {
+			cc := core.NewCountConfig(3)
+			cc.Counts[0], cc.Counts[1] = 1, 1
+			if attempt == 0 {
+				cc.Counts[2] = 10_000
+			}
+			return Trial{Count: cc, Seed: DeriveSeed(8, trial, attempt) + 1}
+		}},
+	}
+	for _, engine := range engines {
+		c := cases[engine]
+		t.Run(engine, func(t *testing.T) {
+			var mu sync.Mutex
+			seeds := map[int64]bool{}
+			sum := RunBatchSupervised(context.Background(), c.pr, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
+				mu.Lock()
+				seeds[DeriveSeed(8, trial, attempt)] = true
+				mu.Unlock()
+				return c.mk(c.pr, trial, attempt)
+			})
+			if sum.Retried != trials || sum.Converged != trials || sum.Aborted != 0 {
+				t.Fatalf("retried %d converged %d aborted %d, want %d/%d/0",
+					sum.Retried, sum.Converged, sum.Aborted, trials, trials)
+			}
+			if len(seeds) != 2*trials {
+				t.Fatalf("%d distinct attempt seeds, want %d", len(seeds), 2*trials)
+			}
+		})
 	}
 }
 
@@ -382,7 +415,7 @@ func TestSuperviseContextCancel(t *testing.T) {
 	done := make(chan SupervisedResult, 1)
 	go func() {
 		sup := Supervision{StepBudget: 1 << 31}
-		done <- Supervise(ctx, sup, func(attempt int) *Runner {
+		done <- Supervise(ctx, sup, func(attempt int) Executor {
 			run := NewRunner(pr, sched.NewRandom(n, false, 9), zeroStart(n))
 			run.Inject = mustInjector(t, mustPlan(t, "@999999999999:corrupt=1"), pr, 9)
 			return run
@@ -407,7 +440,7 @@ func TestSuperviseCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	built := false
-	sr := Supervise(ctx, Supervision{}, func(attempt int) *Runner {
+	sr := Supervise(ctx, Supervision{}, func(attempt int) Executor {
 		built = true
 		return NewRunner(naming.NewAsymmetric(2), sched.NewRoundRobin(2, false), zeroStart(2))
 	})
@@ -420,21 +453,24 @@ func TestSuperviseCanceledBeforeStart(t *testing.T) {
 }
 
 // TestRunBatchSupervisedContextCancel: trials claimed after the cancel
-// are tagged aborted/"canceled" without running.
+// are tagged aborted/"canceled" without running, on either engine.
 func TestRunBatchSupervisedContextCancel(t *testing.T) {
 	const n, trials = 4, 6
 	pr := naming.NewAsymmetric(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum := RunBatchSupervised(ctx, pr, trials, 2, Supervision{}, BatchObs{}, func(trial, attempt int) Trial {
-		return Trial{Cfg: zeroStart(n), Sched: sched.NewRoundRobin(n, false)}
-	})
-	if sum.Aborted != trials {
-		t.Fatalf("Aborted = %d, want %d", sum.Aborted, trials)
-	}
-	for _, br := range sum.Results {
-		if br.Reason != "canceled" {
-			t.Fatalf("trial %d reason %q, want canceled", br.Trial, br.Reason)
-		}
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			mk := engineTrial(engine, pr, 1, func(int64) *core.Config { return zeroStart(n) })
+			sum := RunBatchSupervised(ctx, pr, trials, 2, Supervision{}, BatchObs{}, mk)
+			if sum.Aborted != trials {
+				t.Fatalf("Aborted = %d, want %d", sum.Aborted, trials)
+			}
+			for _, br := range sum.Results {
+				if br.Reason != "canceled" {
+					t.Fatalf("trial %d reason %q, want canceled", br.Trial, br.Reason)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"regexp"
@@ -63,24 +64,53 @@ func TestRunnerObserverMatchesResult(t *testing.T) {
 
 var wallClockFields = regexp.MustCompile(`"(elapsedNs|wallNs|utilization)":[0-9.e+-]+`)
 
-// TestJournalDeterministic: two runs with the same seed produce
-// byte-identical journals modulo the wall-clock fields.
+// TestJournalDeterministic: two batches with the same seed produce
+// byte-identical journals modulo the wall-clock fields, on either
+// engine (one worker, so record order is fixed).
 func TestJournalDeterministic(t *testing.T) {
-	journal := func() []byte {
-		const n = 6
-		pr := naming.NewSelfStab(n)
-		cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(3)))
-		var buf bytes.Buffer
-		sink := obs.NewJournalSink(&buf)
-		run := NewRunner(pr, sched.NewRandom(n, true, 3), cfg)
-		run.Obs = obs.NewObserver(n, true, obs.ObserverOptions{Sink: sink, ProgressEvery: 1000})
-		run.Run(50_000_000)
-		return wallClockFields.ReplaceAll(buf.Bytes(), []byte(`"wall":0`))
+	const n = 6
+	pr := naming.NewSelfStab(n)
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			mk := engineTrial(engine, pr, 3, func(seed int64) *core.Config {
+				return ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+			})
+			journal := func() []byte {
+				var buf bytes.Buffer
+				sink := obs.NewJournalSink(&buf)
+				sup := Supervision{StepBudget: 50_000_000, Sink: sink}
+				RunBatchSupervised(context.Background(), pr, 3, 1, sup, BatchObs{Sink: sink, ProgressEvery: 1000}, mk)
+				return wallClockFields.ReplaceAll(buf.Bytes(), []byte(`"wall":0`))
+			}
+			a, b := journal(), journal()
+			if !bytes.Equal(a, b) {
+				t.Fatalf("journals differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+			}
+		})
 	}
-	a, b := journal(), journal()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("journals differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+}
+
+// trialRecords groups a batch journal's trial-tagged records by trial
+// index, wall-clock fields stripped; the untagged batch summary is
+// dropped.
+func trialRecords(t *testing.T, journal []byte) map[int][]byte {
+	t.Helper()
+	out := map[int][]byte{}
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var probe struct {
+			Type  string `json:"type"`
+			Trial int    `json:"trial"`
+		}
+		if err := json.Unmarshal(line, &probe); err != nil {
+			t.Fatalf("corrupt journal line %q: %v", line, err)
+		}
+		if probe.Type == "batch_summary" {
+			continue
+		}
+		out[probe.Trial] = append(out[probe.Trial], wallClockFields.ReplaceAll(line, []byte(`"wall":0`))...)
+		out[probe.Trial] = append(out[probe.Trial], '\n')
 	}
+	return out
 }
 
 // TestRunBatchObservedJournal runs a concurrent batch into one shared
@@ -91,7 +121,8 @@ func TestRunBatchObservedJournal(t *testing.T) {
 	pr := naming.NewSelfStab(n)
 	var buf bytes.Buffer
 	sink := obs.NewJournalSink(&buf)
-	sum := RunBatchObserved(pr, trials, 50_000_000, 4, BatchObs{Sink: sink}, func(trial int) Trial {
+	sup := Supervision{StepBudget: 50_000_000, Slice: 50_000_000}
+	sum := RunBatchSupervised(context.Background(), pr, trials, 4, sup, BatchObs{Sink: sink}, func(trial, attempt int) Trial {
 		r := rand.New(rand.NewSource(int64(trial)))
 		return Trial{
 			Cfg:   ArbitraryConfig(pr, n, r),
@@ -148,19 +179,21 @@ func TestRunBatchObservedJournal(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesObserved checks the compatibility wrapper returns
-// identical results with observability disabled.
+// TestRunBatchMatchesObserved checks that attaching a sink does not
+// perturb the trials: observed and unobserved batches give identical
+// results.
 func TestRunBatchMatchesObserved(t *testing.T) {
 	const n, trials = 5, 6
 	pr := naming.NewAsymmetric(n)
-	mk := func(trial int) Trial {
+	mk := func(trial, attempt int) Trial {
 		return Trial{
 			Cfg:   core.NewConfig(n, 0),
 			Sched: sched.NewRoundRobin(n, false),
 		}
 	}
-	a := RunBatch(pr, trials, 1_000_000, 2, mk)
-	b := RunBatchObserved(pr, trials, 1_000_000, 2, BatchObs{}, mk).Results
+	sup := Supervision{StepBudget: 1_000_000}
+	a := RunBatchSupervised(context.Background(), pr, trials, 2, sup, BatchObs{}, mk).Results
+	b := RunBatchSupervised(context.Background(), pr, trials, 2, sup, BatchObs{Sink: &syncSink{}}, mk).Results
 	for i := range a {
 		if a[i].Result.Steps != b[i].Result.Steps || a[i].Result.Converged != b[i].Result.Converged {
 			t.Fatalf("trial %d: %+v vs %+v", i, a[i], b[i])

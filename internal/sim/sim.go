@@ -45,8 +45,21 @@ type Result struct {
 	Steps int
 	// NonNull is the number of state-changing interactions.
 	NonNull int
-	// Final is the last configuration (aliased, not copied).
+	// Final is the last configuration of an agent-engine run (aliased,
+	// not copied); nil for count-engine runs.
 	Final *core.Config
+	// Census is the last configuration of a count-engine run (aliased,
+	// not copied); nil for agent-engine runs.
+	Census *core.CountConfig
+}
+
+// ValidNaming reports whether the final configuration, of either
+// engine, is a valid naming (false when there is none).
+func (r Result) ValidNaming() bool {
+	if r.Census != nil {
+		return r.Census.ValidNaming()
+	}
+	return r.Final != nil && r.Final.ValidNaming()
 }
 
 // ParallelTime returns the standard parallel-time normalization:
@@ -63,7 +76,11 @@ func (r Result) String() string {
 	if r.Converged {
 		status = "converged"
 	}
-	return fmt.Sprintf("%s after %d interactions (%d non-null): %s", status, r.Steps, r.NonNull, r.Final)
+	var final fmt.Stringer = r.Final
+	if r.Census != nil {
+		final = r.Census
+	}
+	return fmt.Sprintf("%s after %d interactions (%d non-null): %s", status, r.Steps, r.NonNull, final)
 }
 
 // Runner executes one protocol instance over one configuration.
@@ -311,10 +328,30 @@ func (r *Runner) quietThreshold() int {
 // record) before returning.
 func (r *Runner) Run(maxSteps int) Result {
 	res := r.run(maxSteps)
-	if r.Obs != nil {
-		r.Obs.Finish(res.Converged)
-	}
+	r.finish(res.Converged)
 	return res
+}
+
+// Observer returns the attached observer (nil when unobserved).
+func (r *Runner) Observer() *obs.Observer { return r.Obs }
+
+func (r *Runner) snapshot() Result {
+	return Result{Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+}
+
+func (r *Runner) quietStreak() int { return r.quiet }
+
+func (r *Runner) finish(converged bool) {
+	if r.Obs != nil {
+		r.Obs.Finish(converged)
+	}
+}
+
+func (r *Runner) fired() []fault.Fired {
+	if r.Inject == nil {
+		return nil
+	}
+	return r.Inject.Fired()
 }
 
 func (r *Runner) run(maxSteps int) Result {

@@ -134,17 +134,18 @@ func smix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Supervise runs one trial under supervision. mk builds the runner for
-// each attempt (attempt 0 first; stall retries call it again with the
-// next attempt number — derive seeds with DeriveSeed so attempts
-// differ). Supervise finishes each attempt's Obs, when one is attached,
-// before returning or retrying.
+// Supervise runs one trial under supervision. mk builds the executor
+// for each attempt — a *Runner, a *CountRunner, or NewExecutor's pick
+// for a Trial — attempt 0 first; stall retries call it again with the
+// next attempt number (derive seeds with DeriveSeed so attempts
+// differ). Supervise finishes each attempt's observer, when one is
+// attached, before returning or retrying.
 //
 // ctx cancellation is honored between attempts and at every slice
 // boundary (so within one supervision check of the cancel): the trial
 // aborts with reason "canceled" and its partial Result. A nil ctx is
 // treated as context.Background().
-func Supervise(ctx context.Context, sup Supervision, mk func(attempt int) *Runner) SupervisedResult {
+func Supervise(ctx context.Context, sup Supervision, mk func(attempt int) Executor) SupervisedResult {
 	var deadlineAt time.Time
 	if sup.Deadline > 0 {
 		deadlineAt = time.Now().Add(sup.Deadline)
@@ -154,7 +155,7 @@ func Supervise(ctx context.Context, sup Supervision, mk func(attempt int) *Runne
 
 // superviseUntil is Supervise against an absolute deadline instant, so
 // a batch can impose one shared deadline across all its trials.
-func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, mk func(attempt int) *Runner) SupervisedResult {
+func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, mk func(attempt int) Executor) SupervisedResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -164,18 +165,18 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
 			// Canceled between attempts: abort before building the next
-			// runner. Attempts counts the runners actually built.
-			sup.emit("abort", "canceled", attempt, nil)
+			// executor. Attempts counts the executors actually built.
+			sup.emit("abort", "canceled", attempt, 0)
 			return SupervisedResult{Status: TrialAborted, Attempts: attempt, Reason: "canceled", WallNS: time.Since(start).Nanoseconds()}
 		}
-		r := mk(attempt)
+		ex := mk(attempt)
 		var aspan *obs.Span
 		if sup.Trace.Enabled() {
 			aspan = sup.Trace.Start("attempt", attempt)
 			aspan.Trial = sup.Trial
 		}
 		actx := aspan.Context()
-		res := Result{Final: r.Cfg}
+		res := ex.snapshot()
 		reason := ""
 		stalled := false
 		nslice := 0
@@ -188,10 +189,10 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 				reason = "deadline"
 			}
 			if reason != "" {
-				res = Result{Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+				res = ex.snapshot()
 				break
 			}
-			bound := r.steps + slice
+			bound := res.Steps + slice
 			if bound > budget {
 				bound = budget
 			}
@@ -200,42 +201,38 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 				sspan = actx.Start("slice", nslice)
 				sspan.Trial = sup.Trial
 			}
-			res = r.run(bound)
+			res = ex.run(bound)
 			if sspan != nil {
-				sspan.Attr("steps", int64(r.steps)).Attr("nonNull", int64(r.nonNull))
+				sspan.Attr("steps", int64(res.Steps)).Attr("nonNull", int64(res.NonNull))
 				sspan.End()
 			}
 			nslice++
-			if res.Converged || r.steps >= budget {
+			if res.Converged || res.Steps >= budget {
 				break
 			}
-			if sup.StallQuiet > 0 && r.quiet >= sup.StallQuiet {
+			if sup.StallQuiet > 0 && ex.quietStreak() >= sup.StallQuiet {
 				stalled = true
 				break
 			}
 		}
-		if r.Obs != nil {
-			r.Obs.Finish(res.Converged)
-		}
+		ex.finish(res.Converged)
 		if aspan != nil {
-			if r.Inject != nil {
-				for _, f := range r.Inject.Fired() {
-					aspan.Event(f.Event.Kind.String(), f.Step)
-				}
+			for _, f := range ex.fired() {
+				aspan.Event(f.Event.Kind.String(), f.Step)
 			}
-			aspan.Attr("slices", int64(nslice)).Attr("steps", int64(r.steps)).Attr("nonNull", int64(r.nonNull))
+			aspan.Attr("slices", int64(nslice)).Attr("steps", int64(res.Steps)).Attr("nonNull", int64(res.NonNull))
 			aspan.End()
 		}
 		wall := time.Since(start).Nanoseconds()
 		switch {
 		case reason != "":
-			sup.emit("abort", reason, attempt, r)
+			sup.emit("abort", reason, attempt, res.Steps)
 			return SupervisedResult{Result: res, Status: TrialAborted, Attempts: attempt + 1, Reason: reason, WallNS: wall}
 		case stalled && attempt < sup.Retries:
-			sup.emit("retry", "stall", attempt+1, r)
+			sup.emit("retry", "stall", attempt+1, res.Steps)
 			continue
 		case stalled:
-			sup.emit("abort", "stall", attempt, r)
+			sup.emit("abort", "stall", attempt, res.Steps)
 			return SupervisedResult{Result: res, Status: TrialAborted, Attempts: attempt + 1, Reason: "stall", WallNS: wall}
 		case attempt > 0:
 			return SupervisedResult{Result: res, Status: TrialRetried, Attempts: attempt + 1, WallNS: wall}
@@ -246,15 +243,10 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 }
 
 // emit journals a supervision event ("retry"/"abort") as a fault
-// record. r may be nil when no runner was built (cancellation between
-// attempts).
-func (sup *Supervision) emit(kind, trigger string, attempt int, r *Runner) {
+// record at the attempt's step count.
+func (sup *Supervision) emit(kind, trigger string, attempt, step int) {
 	if sup.Sink == nil {
 		return
-	}
-	step := 0
-	if r != nil {
-		step = r.steps
 	}
 	rec := obs.NewFaultRec(sup.Trial, int64(step), kind, 0, trigger)
 	rec.Attempt = attempt

@@ -29,7 +29,7 @@ func traceSwap(t *testing.T, seed int64, budget, slice int) string {
 		Slice:      slice,
 		Trace:      obs.SpanContext{Trace: obs.NewTraceID(seed), Sink: obs.NewJournalSink(&buf)},
 	}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
 		return swapPopulation(DeriveSeed(seed, 0, attempt))
 	})
 	if sr.Status != TrialOK {
@@ -114,7 +114,7 @@ func TestSupervisedTraceFaultEvents(t *testing.T) {
 		Slice:      1 << 10,
 		Trace:      obs.SpanContext{Trace: obs.NewTraceID(3), Sink: obs.NewJournalSink(&buf)},
 	}
-	Supervise(context.Background(), sup, func(attempt int) *Runner {
+	Supervise(context.Background(), sup, func(attempt int) Executor {
 		r := swapPopulation(DeriveSeed(3, 0, attempt))
 		inj, err := fault.NewInjector(plan, r.Proto, DeriveSeed(3, 0, attempt))
 		if err != nil {
@@ -150,7 +150,7 @@ func TestSupervisedNilTraceAllocs(t *testing.T) {
 	allocs := func(budget int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			sr := Supervise(context.Background(), Supervision{StepBudget: budget, Slice: 1 << 13},
-				func(attempt int) *Runner { return swapPopulation(DeriveSeed(11, 0, attempt)) })
+				func(attempt int) Executor { return swapPopulation(DeriveSeed(11, 0, attempt)) })
 			if sr.Result.Converged {
 				t.Fatal("swap population converged")
 			}
@@ -168,7 +168,7 @@ func TestSupervisedNilTraceAllocs(t *testing.T) {
 func BenchmarkSupervisedNilTrace(b *testing.B) {
 	b.ReportAllocs()
 	sr := Supervise(context.Background(), Supervision{StepBudget: b.N, Slice: 1 << 15},
-		func(attempt int) *Runner { return swapPopulation(1) })
+		func(attempt int) Executor { return swapPopulation(1) })
 	if sr.Result.Converged {
 		b.Fatal("swap population converged")
 	}
@@ -183,7 +183,7 @@ func BenchmarkSupervisedTraced(b *testing.B) {
 		Slice:      1 << 15,
 		Trace:      obs.SpanContext{Trace: obs.NewTraceID(1), Sink: obs.Discard},
 	}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner { return swapPopulation(1) })
+	sr := Supervise(context.Background(), sup, func(attempt int) Executor { return swapPopulation(1) })
 	if sr.Result.Converged {
 		b.Fatal("swap population converged")
 	}
