@@ -82,11 +82,12 @@ race-serve:
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs
 
 # race-count re-runs the count-engine tests (including the KS
-# differential) and the count inputs of the shared batch-pool, span and
-# grid tests — count trials sharing a sink across worker goroutines —
-# under the race detector with caching disabled.
+# differential and namesim's count path, which shares the supervised
+# pool code with serve and grid) and the count inputs of the shared
+# batch-pool, span and grid tests — count trials sharing a sink across
+# worker goroutines — under the race detector with caching disabled.
 race-count:
-	$(GO) test -race -count=1 -run 'Count' ./internal/sim ./internal/serve ./internal/experiments
+	$(GO) test -race -count=1 -run 'Count' ./internal/sim ./internal/serve ./internal/experiments ./cmd/namesim
 	$(GO) test -race -count=1 -run '^(TestRunBatch[A-Za-z]*|TestJournalDeterministic|TestTracedSimSpanTree|TestLocalRunnerDeterministic)$$/count' ./internal/sim ./internal/serve ./internal/grid
 
 # race-store re-runs the durability layer under the race detector with

@@ -10,26 +10,38 @@
 //	namesim -protocol asym -journal out.jsonl -metrics -progress-every 100000
 //	namesim -protocol asym -engine interp -seed 7   # force interface dispatch
 //	namesim -protocol selfstab -init arbitrary -faults '@conv:corrupt=3,@conv:corrupt=3'
-//	namesim -protocol asym -faults '@5000:crash=1' -deadline 30s -retries 2
+//	namesim -protocol asym -faults '@5000:crash=1' -deadline 30s -stall 1000000 -retries 2
 //	namesim -protocol asym -engine count -n 100000000 -budget 10000000
+//
+// A run is a ppserved sim job: the flags map onto a serve.Spec of kind
+// "sim", admission (serve.Prepare) validates it and fills its defaults,
+// and the trial runs under the supervisor with the service's seed
+// recipe — configuration from -seed, scheduler (or count engine) from
+// -seed+1, retries on derived seeds. The same flags therefore give the
+// same records as the same job posted to ppserved, apart from the
+// header's tool name. Only what the job schema does not carry stays
+// namesim's own: -engine interp and -audit act on the agent runner,
+// -sched eclipse (with -hidden and -hide) swaps the agent trial's
+// scheduler, and -adversary plays the greedy adversary instead of a
+// scheduler, unsupervised.
 //
 // -engine count selects the count-based (Gillespie) engine: the
 // configuration is per-state counts, per-step cost is independent of N,
 // and N may exceed P (naming is then unachievable by pigeonhole — the
 // large-N scaling regime). The count engine knows no agent identities,
-// so it is restricted to -sched random and -init zero|uniform, and the
-// identity-dependent flags (-audit, -adversary, -faults) are rejected
-// at flag-parse time, as are -deadline, -retries and -stall (namesim
-// runs count trials unsupervised); -sampler picks the state sampler
-// (auto | fenwick | alias).
+// so it is restricted to -sched random and -init zero|uniform and
+// rejects -faults (admission names the incompatible feature), -audit
+// and -adversary; -sampler picks the state sampler (auto | fenwick |
+// alias).
 //
-// Fault injection (see docs/robustness.md): -faults takes a fault-plan
-// string (events "@step:kind=arg" or "@conv:kind=arg"; kinds corrupt,
-// leader, crash, churn, omit) executed mid-run by the supervised
-// runner; -deadline, -retries and -stall bound the run's wall clock,
-// stall retries and stall detection. Any of these flags selects the
-// supervised path, which reports the trial status (ok | retried |
-// aborted) alongside the result.
+// Fault injection and supervision (see docs/robustness.md): -faults
+// takes a fault-plan string (events "@step:kind=arg" or
+// "@conv:kind=arg"; kinds corrupt, leader, crash, churn, omit) executed
+// mid-run; -deadline bounds the run's wall clock, -stall declares a
+// stall after that many consecutive null interactions (0: no stall
+// detection) and -retries allows that many stall retries on derived
+// seeds. The trial status (ok | retried | aborted) is reported with the
+// result.
 //
 // Protocols: asym, symglobal, initleader, selfstab, globalp, counting,
 // naive (see -list).
@@ -47,7 +59,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -58,6 +69,7 @@ import (
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 	"popnaming/internal/sched"
+	"popnaming/internal/serve"
 	"popnaming/internal/sim"
 	"popnaming/internal/trace"
 )
@@ -78,7 +90,6 @@ type options struct {
 	hidden   int
 	hide     int
 	faults   string
-	plan     *fault.Plan
 	deadline time.Duration
 	retries  int
 	stall    int
@@ -86,12 +97,6 @@ type options struct {
 	metrics  bool
 	progress int
 	pprof    string
-}
-
-// supervised reports whether any fault/supervision flag selects the
-// supervised execution path.
-func (o *options) supervised() bool {
-	return o.faults != "" || o.deadline > 0 || o.retries > 0 || o.stall > 0
 }
 
 func main() {
@@ -110,9 +115,9 @@ func main() {
 		hidden   = flag.Int("hidden", 0, "eclipse scheduler: agent to hide")
 		hide     = flag.Int("hide", 100000, "eclipse scheduler: steps to hide for")
 		faults   = flag.String("faults", "", "fault plan, e.g. '@5000:corrupt=3,@conv:crash=1' (see docs/robustness.md)")
-		deadline = flag.Duration("deadline", 0, "wall-clock deadline for the supervised run (0: none)")
+		deadline = flag.Duration("deadline", 0, "wall-clock deadline for the run, retries included (0: none)")
 		retries  = flag.Int("retries", 0, "stall retries with derived seeds before aborting")
-		stall    = flag.Int("stall", 0, "quiet-streak length declaring a stall (0: default when supervised)")
+		stall    = flag.Int("stall", 0, "quiet-streak length declaring a stall (0: no stall detection)")
 		list     = flag.Bool("list", false, "list protocols and exit")
 		journal  = flag.String("journal", "", "write a JSONL run journal to this file (see docs/observability.md)")
 		metrics  = flag.Bool("metrics", false, "print the run-metrics and rule-firing tables after the run")
@@ -130,90 +135,92 @@ func main() {
 	}
 	o := options{
 		proto: *protoKey, p: *p, n: *n, sched: *schedKey, init: *initKey, engine: *engine,
-		sampler: *sampler,
-		budget:  *budget, audit: *audit, adv: *adv, hidden: *hidden, hide: *hide,
+		sampler: *sampler, seed: *seed,
+		budget: *budget, audit: *audit, adv: *adv, hidden: *hidden, hide: *hide,
 		faults: *faults, deadline: *deadline, retries: *retries, stall: *stall,
 		journal: *journal, metrics: *metrics, progress: *progress, pprof: *pprofPfx,
 	}
-	o.seed, o.derived = obs.ResolveSeed(*seed)
-	// Reject a malformed -faults plan at flag-parse time, before any
-	// protocol or journal setup, with the parser's structured location.
-	var perr error
-	if o.plan, perr = fault.Parse(o.faults); perr != nil {
-		var pe *fault.ParseError
-		if errors.As(perr, &pe) {
-			fmt.Fprintf(os.Stderr, "namesim: -faults: bad %s at offset %d: token %q: %s\n",
-				pe.Kind, pe.Offset, pe.Token, pe.Reason)
-		} else {
-			fmt.Fprintln(os.Stderr, "namesim: -faults:", perr)
-		}
+	// Every flag is checked here, before any journal or profile is
+	// opened: a rejected run leaves no files behind.
+	pj, err := prepare(&o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "namesim:", err)
 		os.Exit(2)
 	}
-	// The count engine has no agent identities: reject identity-dependent
-	// flag combinations here, before any protocol or journal setup, with
-	// the incompatible feature named.
-	if o.engine == "count" {
-		if msg := countIncompatibility(o); msg != "" {
-			fmt.Fprintf(os.Stderr, "namesim: -engine count: incompatible flag %s\n", msg)
-			os.Exit(2)
-		}
-	} else if o.sampler != "auto" {
-		fmt.Fprintln(os.Stderr, "namesim: -sampler requires -engine count")
-		os.Exit(2)
-	}
-	if err := run(o); err != nil {
+	if err := execute(o, pj); err != nil {
 		fmt.Fprintln(os.Stderr, "namesim:", err)
 		os.Exit(1)
 	}
 }
 
-// countIncompatibility returns a description of the first flag that the
-// count engine cannot honor, or "" when the selection is count-runnable.
-// The count engine sees per-state counts only; anything that addresses
-// an individual agent has no meaning there.
-func countIncompatibility(o options) string {
-	switch {
-	case o.adv:
-		return "-adversary (the greedy adversary picks individual agents)"
-	case o.faults != "":
-		return "-faults (fault kinds target individual agents)"
-	case o.supervised():
-		return "-deadline/-retries/-stall (namesim runs count trials unsupervised; ppserved and ppanalyze supervise them)"
-	case o.audit:
-		return "-audit (a fairness audit needs the agent-level schedule)"
-	case o.sched != "random":
-		return "-sched " + o.sched + " (count dynamics are defined only for the uniform random scheduler)"
-	case o.init == "arbitrary":
-		return "-init arbitrary (arbitrary initialization draws an agent array)"
-	case !sim.ValidCountSampler(o.sampler):
-		return "-sampler " + o.sampler + " (want auto | fenwick | alias)"
+// spec maps the flags onto the job schema. A count run passes -sched
+// through, so admission rejects eclipse with the other non-random
+// schedulers; an agent run asks for the random scheduler when it plays
+// eclipse or the adversary instead.
+func (o *options) spec() serve.Spec {
+	sp := serve.Spec{
+		Kind: serve.KindSim, Protocol: o.proto, P: o.p, N: o.n,
+		Sched: o.sched, Init: o.init, Seed: o.seed, Budget: o.budget,
+		Faults: o.faults, Retries: o.retries, Stall: o.stall, ProgressEvery: o.progress,
+		// Round up, so any positive -deadline stays a deadline.
+		DeadlineMS: int64((o.deadline + time.Millisecond - 1) / time.Millisecond),
 	}
-	return ""
+	switch {
+	case o.engine == "count":
+		sp.Engine, sp.Sampler = "count", o.sampler
+	case o.sampler != "auto":
+		sp.Sampler = o.sampler // admission: count-engine jobs only
+	}
+	if o.engine != "count" && (o.sched == "eclipse" || o.adv) {
+		sp.Sched = "random"
+	}
+	return sp
 }
 
-func run(o options) (err error) {
-	spec, err := experiments.Lookup(o.proto)
-	if err != nil {
-		return err
-	}
-	if o.n == 0 {
-		o.n = o.p
-	}
-	// The agent engine needs one slot per agent, so N is bounded by P;
-	// count dynamics are defined for any N (naming is then unachievable
-	// when N > P, which is exactly the large-N scaling regime).
-	if o.engine != "count" && o.n > o.p {
-		return fmt.Errorf("population size %d exceeds bound P=%d", o.n, o.p)
-	}
-	proto := spec.New(o.p)
-
-	var cfg *core.Config
-	if o.engine != "count" {
-		if cfg, err = buildConfig(proto, o.n, o.init, o.seed); err != nil {
-			return err
+// prepare checks the namesim-only flags, then admits the job spec
+// through serve.Prepare, which owns the init and scheduler key tables,
+// the bounds and the count engine's incompatibilities. It resolves the
+// population size and seed into o.
+func prepare(o *options) (*serve.Prepared, error) {
+	switch o.engine {
+	case "compiled", "interp":
+	case "count":
+		// The namesim-only flags address individual agents too.
+		if o.adv {
+			return nil, errors.New("-engine count: incompatible flag -adversary (the greedy adversary picks individual agents)")
 		}
+		if o.audit {
+			return nil, errors.New("-engine count: incompatible flag -audit (a fairness audit needs the agent-level schedule)")
+		}
+	default:
+		return nil, fmt.Errorf("unknown engine %q (compiled | interp | count)", o.engine)
 	}
+	if o.adv && (o.faults != "" || o.deadline > 0 || o.retries > 0 || o.stall > 0) {
+		return nil, errors.New("-faults/-deadline/-retries/-stall cannot be combined with -adversary")
+	}
+	pj, err := serve.Prepare(o.spec())
+	if se := (*serve.Error)(nil); errors.As(err, &se) && se.Kind == "count-incompatible" {
+		return nil, fmt.Errorf("-engine count: incompatible %s: %w", se.Feature, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sp := pj.Spec()
+	o.n, o.seed, o.derived = sp.N, sp.Seed, pj.SeedDerived()
+	if o.eclipse() && (o.hidden < 0 || o.hidden >= o.n || o.n < 2) {
+		return nil, fmt.Errorf("eclipse scheduler: hidden agent %d outside [0,%d) (needs N >= 2)", o.hidden, o.n)
+	}
+	return pj, nil
+}
 
+// eclipse reports whether the agent trial's scheduler is swapped for
+// the eclipse scheduler.
+func (o *options) eclipse() bool { return o.sched == "eclipse" && o.engine != "count" && !o.adv }
+
+// execute runs the admitted job: the greedy adversary, or the sim job's
+// one supervised trial through pj.RunSim, the service's run path.
+func execute(o options, pj *serve.Prepared) (err error) {
+	proto := pj.Proto()
 	if o.pprof != "" {
 		stop, perr := obs.StartPprof(o.pprof)
 		if perr != nil {
@@ -239,167 +246,72 @@ func run(o options) (err error) {
 			}
 		}()
 	}
-
-	if o.engine == "count" {
-		return runCount(proto, o, sink)
-	}
+	hdr := pj.Header("namesim")
 	if o.adv {
-		if o.supervised() {
-			return fmt.Errorf("-faults/-deadline/-retries/-stall cannot be combined with -adversary")
-		}
-		return runAdversarial(proto, cfg, o, sink)
-	}
-	if o.supervised() {
-		return runSupervised(proto, o, sink)
-	}
-	s, err := buildScheduler(proto, o.n, o.sched, o.seed, o.hidden, o.hide)
-	if err != nil {
-		return err
+		return runAdversarial(proto, pj.SimTrial().Cfg, o, hdr, sink)
 	}
 
+	sp := pj.Spec()
 	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
 		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
-	fmt.Printf("population N=%d, scheduler %s, init %s, seed %d%s\n",
-		o.n, s.Name(), o.init, o.seed, seedNote(o.derived))
-	fmt.Printf("start: %s\n", cfg)
-
+	if sp.Engine == "count" {
+		fmt.Printf("population N=%d, engine count (sampler %s), init %s, seed %d%s\n",
+			o.n, o.sampler, sp.Init, o.seed, seedNote(o.derived))
+	} else {
+		if o.eclipse() {
+			hdr.Scheduler = "eclipse"
+		}
+		fmt.Printf("population N=%d, scheduler %s, init %s, seed %d%s\n",
+			o.n, hdr.Scheduler, sp.Init, o.seed, seedNote(o.derived))
+	}
+	fmt.Printf("supervision: plan %q, deadline %v, stall %d, retries %d\n", sp.Faults, o.deadline, sp.Stall, sp.Retries)
 	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Scheduler = s.Name()
 		if herr := sink.Emit(hdr); herr != nil {
 			return herr
 		}
 	}
 
-	runner := sim.NewRunner(proto, s, cfg)
-	switch o.engine {
-	case "compiled":
-		// default: the runner compiles transparently when it can
-	case "interp":
-		runner.Interpret = true
-	default:
-		return fmt.Errorf("unknown engine %q (compiled | interp)", o.engine)
-	}
-	var observer *obs.Observer
-	if sink != nil || o.metrics {
-		observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
-			Sink:          sink,
-			ProgressEvery: o.progress,
-		})
-		runner.Obs = observer
-	}
-	var col trace.Collector
-	if o.audit {
-		runner.OnStep = col.Record
-	}
-	engine := "interpreted"
-	if runner.Compiled() {
-		engine = "compiled"
-	}
-	fmt.Printf("engine: %s\n", engine)
-	res := runner.Run(o.budget)
-	fmt.Printf("result: %s\n", res)
-	fmt.Printf("valid naming: %v\n", cfg.ValidNaming())
-	if res.Converged {
-		fmt.Printf("parallel time: %.1f\n", res.ParallelTime(o.n))
-	}
-	if o.audit {
-		a := fairness.AuditPairs(col.Pairs(), o.n, core.HasLeader(proto))
-		fmt.Printf("%s\n", a)
-	}
-	if o.metrics {
-		fmt.Println()
-		observer.Dump(os.Stdout)
-	}
-	return err
-}
-
-// runSupervised drives a fault-injected run under the supervisor:
-// the plan's events fire mid-run on the live runner (census resynced
-// after every mutating fault), stalls are retried with derived seeds,
-// and deadline/stall exhaustion yields a partial result tagged aborted
-// instead of a hang.
-func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error {
-	plan := o.plan // parsed (and rejected if malformed) at flag-parse time
-	// Validate plan capabilities and the init/scheduler keys once, so
-	// the per-attempt builder below cannot fail.
-	if _, err := fault.NewInjector(plan, proto, o.seed); err != nil {
-		return err
-	}
-	if _, err := buildConfig(proto, o.n, o.init, o.seed); err != nil {
-		return err
-	}
-	s0, err := buildScheduler(proto, o.n, o.sched, o.seed, o.hidden, o.hide)
-	if err != nil {
-		return err
-	}
-	if o.engine != "compiled" && o.engine != "interp" {
-		return fmt.Errorf("unknown engine %q (compiled | interp)", o.engine)
-	}
-
-	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
-		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
-	fmt.Printf("population N=%d, scheduler %s, init %s, seed %d%s\n",
-		o.n, s0.Name(), o.init, o.seed, seedNote(o.derived))
-	fmt.Printf("supervised: plan %q, deadline %v, retries %d\n", plan.String(), o.deadline, o.retries)
+	// Executors attach observers only when given a sink, so -metrics
+	// without -journal hands them a discarding one; with neither flag
+	// they run unobserved, on the fast path.
+	var rs obs.Sink
 	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Scheduler = s0.Name()
-		if herr := sink.Emit(hdr); herr != nil {
-			return herr
-		}
+		rs = sink
+	} else if o.metrics {
+		rs = obs.Discard
 	}
-
-	sup := sim.Supervision{
-		StepBudget: o.budget,
-		Deadline:   o.deadline,
-		StallQuiet: o.stall,
-		Retries:    o.retries,
-	}
-	if sup.StallQuiet == 0 {
-		// Retries and deadlines only help if stalls are detected:
-		// default to a large multiple of the silence-check window.
-		w := 4 * o.n * o.n
-		if w < 64 {
-			w = 64
-		}
-		sup.StallQuiet = 2048 * w
-	}
-	if sink != nil {
-		sup.Sink = sink
-	}
-	var inj *fault.Injector
-	var observer *obs.Observer
-	var finalCfg *core.Config
-	var col *trace.Collector
-	sr := sim.Supervise(context.Background(), sup, func(attempt int) sim.Executor {
-		seed := o.seed
+	bo := sim.BatchObs{Sink: rs, ProgressEvery: sp.ProgressEvery}
+	var (
+		observer *obs.Observer
+		inj      *fault.Injector
+		col      *trace.Collector
+	)
+	sr := pj.RunSim(context.Background(), pj.Supervision(rs), func(attempt int, seed int64, t sim.Trial) sim.Executor {
 		if attempt > 0 {
-			seed = sim.DeriveSeed(o.seed, 0, attempt)
 			fmt.Printf("retry %d: derived seed %d\n", attempt, seed)
 		}
-		cfg, _ := buildConfig(proto, o.n, o.init, seed)
-		finalCfg = cfg
-		s, _ := buildScheduler(proto, o.n, o.sched, seed, o.hidden, o.hide)
-		runner := sim.NewRunner(proto, s, cfg)
-		runner.Interpret = o.engine == "interp"
-		inj, _ = fault.NewInjector(plan, proto, seed)
-		if sink != nil {
-			inj.Sink = sink
+		if o.eclipse() {
+			// seed+1 is the scheduler's seed in the trial recipe.
+			t.Sched = sched.NewEclipse(o.n, core.HasLeader(proto), o.hidden, o.hide, seed+1)
 		}
-		runner.Inject = inj
-		if sink != nil || o.metrics {
-			observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
-				Sink:          sink,
-				ProgressEvery: o.progress,
-			})
-			runner.Obs = observer
+		ex := sim.NewExecutor(proto, t, nil, bo, 0)
+		if r, ok := ex.(*sim.Runner); ok {
+			r.Interpret = o.engine == "interp"
+			if o.audit {
+				col = &trace.Collector{}
+				r.OnStep = col.Record
+			}
+			engine := "interpreted"
+			if r.Compiled() {
+				engine = "compiled"
+			}
+			fmt.Printf("engine: %s\n", engine)
+			fmt.Printf("start: %s\n", t.Cfg)
+		} else {
+			fmt.Printf("start: %s\n", t.Count)
 		}
-		if o.audit {
-			col = &trace.Collector{}
-			runner.OnStep = col.Record
-		}
-		return runner
+		observer, inj = ex.Observer(), t.Inject
+		return ex
 	})
 
 	fmt.Printf("status: %s (attempts %d", sr.Status, sr.Attempts)
@@ -407,18 +319,21 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 		fmt.Printf(", reason %s", sr.Reason)
 	}
 	fmt.Printf(", wall %v)\n", time.Duration(sr.WallNS).Round(time.Millisecond))
-	for _, f := range inj.Fired() {
-		fmt.Printf("fault: %s fired at step %d\n", f.Event, f.Step)
-	}
-	if got, want := len(inj.Fired()), len(plan.Events); got < want {
-		fmt.Printf("faults pending: %d of %d events never fired\n", want-got, want)
+	if inj != nil {
+		for _, f := range inj.Fired() {
+			fmt.Printf("fault: %s fired at step %d\n", f.Event, f.Step)
+		}
+		plan, _ := fault.Parse(sp.Faults) // admitted, so it parses
+		if got, want := len(inj.Fired()), len(plan.Events); got < want {
+			fmt.Printf("faults pending: %d of %d events never fired\n", want-got, want)
+		}
 	}
 	fmt.Printf("result: %s\n", sr.Result)
-	fmt.Printf("valid naming: %v\n", finalCfg.ValidNaming())
+	fmt.Printf("valid naming: %v\n", sr.ValidNaming())
 	if sr.Converged {
 		fmt.Printf("parallel time: %.1f\n", sr.ParallelTime(o.n))
 	}
-	if o.audit {
+	if col != nil {
 		a := fairness.AuditPairs(col.Pairs(), o.n, core.HasLeader(proto))
 		fmt.Printf("%s\n", a)
 	}
@@ -433,12 +348,11 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 // adversary under mechanically enforced weak fairness. The adversarial
 // runner only exposes pair events, so journals and metrics from this
 // path carry no per-rule fire counts.
-func runAdversarial(proto core.Protocol, cfg *core.Config, o options, sink *obs.JournalSink) error {
+func runAdversarial(proto core.Protocol, cfg *core.Config, o options, hdr obs.Header, sink *obs.JournalSink) error {
 	fmt.Printf("protocol %s (P=%d, %d states/agent), N=%d, greedy adversary, init %s, seed %d%s\n",
 		proto.Name(), proto.P(), proto.States(), o.n, o.init, o.seed, seedNote(o.derived))
 	fmt.Printf("start: %s\n", cfg)
 	if sink != nil {
-		hdr := header("namesim", proto, o)
 		hdr.Scheduler = "greedy-adversary"
 		if err := sink.Emit(hdr); err != nil {
 			return err
@@ -482,116 +396,9 @@ func runAdversarial(proto core.Protocol, cfg *core.Config, o options, sink *obs.
 	return nil
 }
 
-// runCount drives the count-based engine: the configuration is
-// per-state counts (core.CountConfig), the pair law is the uniform
-// random scheduler's, and the per-step cost is independent of N.
-// Journals from this path carry engine:"count", census records instead
-// of pair statistics, and the same per-rule fire counts as agent runs.
-func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
-	cc, err := sim.CountStart(proto, o.n, o.init)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
-		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
-	fmt.Printf("population N=%d, engine count (sampler %s), init %s, seed %d%s\n",
-		o.n, o.sampler, o.init, o.seed, seedNote(o.derived))
-	fmt.Printf("start: %s\n", cc)
-	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Engine = "count"
-		hdr.Scheduler = "random"
-		if herr := sink.Emit(hdr); herr != nil {
-			return herr
-		}
-	}
-	runner, err := sim.NewCountRunner(proto, cc, o.seed)
-	if err != nil {
-		return err
-	}
-	runner.Sampler = o.sampler
-	var observer *obs.Observer
-	if sink != nil || o.metrics {
-		observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
-			Sink:          sink,
-			ProgressEvery: o.progress,
-			NoPairs:       true,
-		})
-		runner.Obs = observer
-	}
-	res, err := runner.Run(o.budget)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("result: %s\n", res)
-	fmt.Printf("valid naming: %v\n", cc.ValidNaming())
-	if res.Converged {
-		fmt.Printf("parallel time: %.1f\n", res.ParallelTime(o.n))
-	}
-	if o.metrics {
-		fmt.Println()
-		observer.Dump(os.Stdout)
-	}
-	return nil
-}
-
-func header(tool string, proto core.Protocol, o options) obs.Header {
-	hdr := obs.NewHeader(tool)
-	hdr.Protocol = proto.Name()
-	hdr.P = proto.P()
-	hdr.States = proto.States()
-	hdr.Leader = core.HasLeader(proto)
-	hdr.N = o.n
-	hdr.Init = o.init
-	hdr.Budget = o.budget
-	hdr.Seed = o.seed
-	hdr.SeedDerived = o.derived
-	return hdr
-}
-
 func seedNote(derived bool) string {
 	if derived {
 		return " (auto-derived)"
 	}
 	return ""
-}
-
-func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
-	switch initKey {
-	case "zero":
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return cfg, nil
-	case "uniform":
-		return sim.UniformConfig(proto, n), nil
-	case "arbitrary":
-		ap, ok := proto.(core.ArbitraryInitProtocol)
-		if !ok {
-			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", proto.Name())
-		}
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
-	}
-}
-
-func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64, hidden, hide int) (sched.Scheduler, error) {
-	withLeader := core.HasLeader(proto)
-	switch schedKey {
-	case "random":
-		return sched.NewRandom(n, withLeader, seed), nil
-	case "roundrobin":
-		return sched.NewRoundRobin(n, withLeader), nil
-	case "matching":
-		if withLeader {
-			return nil, fmt.Errorf("matching scheduler is leaderless only")
-		}
-		return sched.NewMatching(n), nil
-	case "eclipse":
-		return sched.NewEclipse(n, withLeader, hidden, hide, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching | eclipse)", schedKey)
-	}
 }

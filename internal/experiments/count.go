@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -98,39 +99,37 @@ func CountDifferential(opts CountDiffOptions) []CountDiffPoint {
 		pr, p, n := countDiffCase(key)
 		pt := CountDiffPoint{Protocol: key, P: p, N: n, Trials: opts.Trials, Alpha: opts.Alpha, OK: true}
 
-		var agent, count []float64
-		for i := 0; i < opts.Trials; i++ {
-			seed := sim.DeriveSeed(opts.Seed, i, 0)
-			r := sim.NewRunner(pr, sched.NewRandom(n, core.HasLeader(pr), seed+1), countDiffStart(pr, n, seed))
-			if res := r.Run(opts.Budget); res.Converged {
-				pt.AgentConverged++
-				agent = append(agent, float64(res.Steps))
+		// Both engines sample through the batch pool under a one-slice
+		// supervision, which is a bare Run(Budget): the same trial seeds,
+		// starting configurations and stopping rule on either engine.
+		sup := sim.Supervision{StepBudget: opts.Budget, Slice: opts.Budget}
+		sample := func(count bool) ([]float64, int) {
+			sum := sim.RunBatchSupervised(context.Background(), pr, opts.Trials, 1, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
+				seed := sim.DeriveSeed(opts.Seed, trial, attempt)
+				cfg := countDiffStart(pr, n, seed)
+				if !count {
+					return sim.Trial{Cfg: cfg, Sched: sched.NewRandom(n, core.HasLeader(pr), seed+1)}
+				}
+				cc, _ := core.CountsOf(cfg, pr.States()) // states come from pr, so they fit
+				return sim.Trial{Count: cc, Seed: seed + 1}
+			})
+			var steps []float64
+			for _, br := range sum.Results {
+				if br.Result.Converged {
+					steps = append(steps, float64(br.Result.Steps))
+				}
 			}
+			return steps, sum.Converged
 		}
-		for i := 0; i < opts.Trials; i++ {
-			seed := sim.DeriveSeed(opts.Seed, i, 0)
-			cc, err := core.CountsOf(countDiffStart(pr, n, seed), pr.States())
-			if err != nil {
-				pt.OK = false
-				pt.Detail = err.Error()
-				break
-			}
-			cr, err := sim.NewCountRunner(pr, cc, seed+1)
-			if err != nil {
-				pt.OK = false
-				pt.Detail = err.Error()
-				break
-			}
-			res, err := cr.Run(opts.Budget)
-			if err != nil {
-				pt.OK = false
-				pt.Detail = err.Error()
-				break
-			}
-			if res.Converged {
-				pt.CountConverged++
-				count = append(count, float64(res.Steps))
-			}
+		var agent, count []float64
+		agent, pt.AgentConverged = sample(false)
+		// The count engine refuses protocols and populations it cannot
+		// run: probe once rather than panic inside the pool.
+		cc, _ := core.CountsOf(countDiffStart(pr, n, opts.Seed), pr.States())
+		if _, err := sim.NewCountRunner(pr, cc, 0); err != nil {
+			pt.OK, pt.Detail = false, err.Error()
+		} else {
+			count, pt.CountConverged = sample(true)
 		}
 		if pt.OK {
 			// Convergence rates must agree within generous binomial noise

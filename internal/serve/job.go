@@ -18,7 +18,7 @@ import (
 
 // Job kinds accepted by POST /v1/jobs.
 const (
-	// KindSim is one supervised execution (namesim's supervised path).
+	// KindSim is one supervised execution; namesim runs it in-process.
 	KindSim = "sim"
 	// KindBatch is a multi-trial supervised batch (sim.RunBatchSupervised).
 	KindBatch = "batch"
@@ -412,17 +412,16 @@ func validateRun(v *validated) *Error {
 			return countBadRequest("init:arbitrary",
 				"arbitrary initialization draws an agent array; count-engine jobs take init zero | uniform")
 		}
-		cc, err := sim.CountStart(v.proto, sp.N, sp.Init)
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		if _, err := sim.NewCountRunner(v.proto, cc, sp.Seed); err != nil {
+	}
+	t, err := sim.StartTrial(v.proto, sp.N, sp.Init, sp.Engine == "count", sp.Seed)
+	if err != nil {
+		return badRequest("%v", err)
+	}
+	if t.Count != nil {
+		if _, err := sim.NewCountRunner(v.proto, t.Count, sp.Seed); err != nil {
 			return badRequest("%v", err)
 		}
 		return nil
-	}
-	if _, err := buildConfig(v.proto, sp.N, sp.Init, sp.Seed); err != nil {
-		return badRequest("%v", err)
 	}
 	if _, err := buildScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {
 		return badRequest("%v", err)
@@ -493,6 +492,19 @@ func (p *Prepared) CountTrialMaker() func(trial int) sim.Trial {
 func (p *Prepared) Supervision(sink obs.Sink) sim.Supervision {
 	return supervisionFor(p.v, sink)
 }
+
+// RunSim runs a sim job's one supervised trial under sup exactly as a
+// service worker does: attempt 0 on the job seed, retries on
+// sim.DeriveSeed(seed, 0, attempt). build turns each attempt's trial
+// into its executor — normally sim.NewExecutor — and may adjust either
+// on the way.
+func (p *Prepared) RunSim(ctx context.Context, sup sim.Supervision, build func(attempt int, seed int64, t sim.Trial) sim.Executor) sim.SupervisedResult {
+	return superviseSim(ctx, p.v, sup, build)
+}
+
+// SimTrial returns the trial of a sim job's first attempt, built from
+// the job seed.
+func (p *Prepared) SimTrial() sim.Trial { return trialFor(p.v, p.v.spec.Seed) }
 
 // JobSummary condenses a finished job's outcome for the job view (the
 // full per-trial detail is in the result stream).

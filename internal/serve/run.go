@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"popnaming/internal/core"
@@ -13,34 +13,12 @@ import (
 	"popnaming/internal/sim"
 )
 
-// buildConfig mirrors the CLI initialization keys. The keys were
-// validated at admission, so workers call this infallibly per attempt.
-func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
-	switch initKey {
-	case "zero":
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return cfg, nil
-	case "uniform":
-		return sim.UniformConfig(proto, n), nil
-	case "arbitrary":
-		ap, ok := proto.(core.ArbitraryInitProtocol)
-		if !ok {
-			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", proto.Name())
-		}
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
-	}
-}
-
-// buildScheduler mirrors the CLI scheduler keys minus eclipse (an
-// attack-study scheduler with extra knobs the job schema doesn't
-// carry). The per-trial scheduler seed is trialSeed+1, matching the
-// stabilization experiments, so a seeded service job replays the
-// equivalent direct run exactly.
+// buildScheduler builds the agent engine's scheduler for a scheduler
+// key: the one table of scheduler keys. Eclipse, an attack-study
+// scheduler with knobs the job schema doesn't carry, is namesim's own
+// swap (see cmd/namesim). The per-trial scheduler seed is trialSeed+1,
+// matching the stabilization experiments, so a seeded service job
+// replays the equivalent direct run exactly.
 func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64) (sched.Scheduler, error) {
 	withLeader := core.HasLeader(proto)
 	switch schedKey {
@@ -147,18 +125,13 @@ func (s *Server) execute(j *Job) error {
 	}
 }
 
-// runSim executes one supervised trial on the spec's engine, exactly
-// namesim's supervised path: per-attempt seeds sim.DeriveSeed(seed, 0,
-// attempt) after attempt 0's job seed (see trialFor).
+// runSim executes the job's one supervised trial through superviseSim,
+// the sim-job run path namesim shares (Prepared.RunSim).
 func (s *Server) runSim(j *Job) error {
 	sp := j.v.spec
 	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
-	sr := sim.Supervise(j.ctx, j.supervision(), func(attempt int) sim.Executor {
-		seed := sp.Seed
-		if attempt > 0 {
-			seed = sim.DeriveSeed(sp.Seed, 0, attempt)
-		}
-		ex := sim.NewExecutor(j.v.proto, trialFor(j.v, seed), nil, bo, 0)
+	sr := superviseSim(j.ctx, j.v, j.supervision(), func(_ int, _ int64, t sim.Trial) sim.Executor {
+		ex := sim.NewExecutor(j.v.proto, t, nil, bo, 0)
 		j.setLive(ex.Observer())
 		return ex
 	})
@@ -180,6 +153,21 @@ func (s *Server) runSim(j *Job) error {
 	return nil
 }
 
+// superviseSim runs a sim job's one supervised trial: attempt 0 on the
+// job seed, retry attempt a on sim.DeriveSeed(seed, 0, a), each
+// attempt's trial from trialFor. build turns the trial into its
+// executor, which lets a front end attach what the job schema does not
+// carry before it runs.
+func superviseSim(ctx context.Context, v *validated, sup sim.Supervision, build func(attempt int, seed int64, t sim.Trial) sim.Executor) sim.SupervisedResult {
+	return sim.Supervise(ctx, sup, func(attempt int) sim.Executor {
+		seed := v.spec.Seed
+		if attempt > 0 {
+			seed = sim.DeriveSeed(seed, 0, attempt)
+		}
+		return build(attempt, seed, trialFor(v, seed))
+	})
+}
+
 // trialFor builds one attempt's trial from its seed, on the spec's
 // engine: agent trials take the configuration from seed, the scheduler
 // from seed+1 (matching the stabilization experiments, so a seeded
@@ -189,13 +177,12 @@ func (s *Server) runSim(j *Job) error {
 // admission, so the builders cannot fail here.
 func trialFor(v *validated, seed int64) sim.Trial {
 	sp := v.spec
-	if sp.Engine == "count" {
-		cc, _ := sim.CountStart(v.proto, sp.N, sp.Init)
-		return sim.Trial{Count: cc, Seed: seed + 1, Sampler: sp.Sampler}
+	t, _ := sim.StartTrial(v.proto, sp.N, sp.Init, sp.Engine == "count", seed)
+	if t.Count != nil {
+		t.Seed, t.Sampler = seed+1, sp.Sampler
+		return t
 	}
-	cfg, _ := buildConfig(v.proto, sp.N, sp.Init, seed)
-	sc, _ := buildScheduler(v.proto, sp.N, sp.Sched, seed+1)
-	t := sim.Trial{Cfg: cfg, Sched: sc}
+	t.Sched, _ = buildScheduler(v.proto, sp.N, sp.Sched, seed+1)
 	if !v.plan.Empty() {
 		t.Inject, _ = fault.NewInjector(v.plan, v.proto, seed)
 	}

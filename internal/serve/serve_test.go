@@ -197,15 +197,14 @@ func TestJobDeterminism(t *testing.T) {
 	sim.RunBatchSupervised(context.Background(), pr, spec.Trials, 1, sup,
 		sim.BatchObs{Sink: buf}, func(trial, attempt int) sim.Trial {
 			seed := sim.DeriveSeed(spec.Seed, trial, attempt)
-			cfg, err := buildConfig(pr, spec.N, "zero", seed)
+			tr, err := sim.StartTrial(pr, spec.N, "zero", false, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := buildScheduler(pr, spec.N, "random", seed+1)
-			if err != nil {
+			if tr.Sched, err = buildScheduler(pr, spec.N, "random", seed+1); err != nil {
 				t.Fatal(err)
 			}
-			return sim.Trial{Cfg: cfg, Sched: sc}
+			return tr
 		})
 	direct, err := buf.all()
 	if err != nil {

@@ -624,24 +624,3 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 	}
 	return cc
 }
-
-// CountStart builds the starting census for an initialization key.
-// Only the keys whose starting configurations are exchangeable — fully
-// described by per-state counts — are representable: "zero" (every
-// agent in state 0) and "uniform" (UniformCountConfig); "arbitrary"
-// draws an agent array.
-func CountStart(p core.Protocol, n int, initKey string) (*core.CountConfig, error) {
-	switch initKey {
-	case "zero":
-		cc := core.NewCountConfig(p.States())
-		cc.Counts[0] = n
-		if lp, ok := p.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
-	case "uniform":
-		return UniformCountConfig(p, n), nil
-	default:
-		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-	}
-}

@@ -378,23 +378,43 @@ func TestUniformCountConfigMatchesAgent(t *testing.T) {
 	}
 }
 
-func TestCountStart(t *testing.T) {
+// TestStartTrial covers the init-key table on both engines: the
+// exchangeable keys build a census or an agent array with the leader
+// kept, and arbitrary init is agent-only.
+func TestStartTrial(t *testing.T) {
 	pr := naming.NewInitLeader(6)
-	cc, err := CountStart(pr, 6, "zero")
+	tr, err := StartTrial(pr, 6, "zero", true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.N() != 6 || cc.Counts[0] != 6 {
-		t.Fatalf("zero init counts = %v", cc.Counts)
+	if cc := tr.Count; tr.Cfg != nil || cc.N() != 6 || cc.Counts[0] != 6 {
+		t.Fatalf("zero init trial = %+v", tr)
 	}
-	if cc.Leader == nil {
+	if tr.Count.Leader == nil {
 		t.Fatal("leader protocol start lost its leader")
 	}
-	if _, err := CountStart(pr, 6, "uniform"); err != nil {
-		t.Fatalf("uniform init: %v", err)
+	if tr, err = StartTrial(pr, 6, "zero", false, 1); err != nil || tr.Count != nil || tr.Cfg.N() != 6 || tr.Cfg.Leader == nil {
+		t.Fatalf("agent zero init = %+v, %v", tr, err)
 	}
-	if _, err := CountStart(pr, 6, "arbitrary"); err == nil {
+	for _, count := range []bool{false, true} {
+		if _, err := StartTrial(pr, 6, "uniform", count, 1); err != nil {
+			t.Fatalf("uniform init (count=%v): %v", count, err)
+		}
+		if _, err := StartTrial(pr, 6, "bogus", count, 1); err == nil {
+			t.Fatalf("unknown init accepted (count=%v)", count)
+		}
+	}
+	if _, err := StartTrial(pr, 6, "arbitrary", true, 1); err == nil {
 		t.Fatal("arbitrary init must be rejected as not count-representable")
+	}
+	ss := naming.NewSelfStab(6)
+	a, _ := StartTrial(ss, 6, "arbitrary", false, 9)
+	b, _ := StartTrial(ss, 6, "arbitrary", false, 9)
+	if a.Cfg.String() != b.Cfg.String() {
+		t.Fatalf("arbitrary init not reproducible from its seed: %s vs %s", a.Cfg, b.Cfg)
+	}
+	if _, err := StartTrial(pr, 6, "arbitrary", false, 1); err == nil {
+		t.Fatal("arbitrary init accepted for a protocol without arbitrary initialization")
 	}
 }
 

@@ -479,6 +479,48 @@ func ArbitraryConfig(p core.ArbitraryInitProtocol, n int, r *rand.Rand) *core.Co
 	return c
 }
 
+// StartTrial builds a trial's starting configuration for an
+// initialization key — the one table of init keys — on either engine:
+// an agent array (Trial.Cfg), or with count set a census (Trial.Count).
+// "zero" puts every agent in state 0 and "uniform" in the protocol's
+// uniform initial state (UniformConfig); both are exchangeable, so the
+// count engine represents them. "arbitrary" draws every state from
+// seed (ArbitraryConfig) and has no census.
+func StartTrial(p core.Protocol, n int, initKey string, count bool, seed int64) (Trial, error) {
+	switch initKey {
+	case "zero":
+		if count {
+			cc := core.NewCountConfig(p.States())
+			cc.Counts[0] = n
+			if lp, ok := p.(core.LeaderProtocol); ok {
+				cc.Leader = lp.InitLeader()
+			}
+			return Trial{Count: cc}, nil
+		}
+		cfg := core.NewConfig(n, 0)
+		if lp, ok := p.(core.LeaderProtocol); ok {
+			cfg.Leader = lp.InitLeader()
+		}
+		return Trial{Cfg: cfg}, nil
+	case "uniform":
+		if count {
+			return Trial{Count: UniformCountConfig(p, n)}, nil
+		}
+		return Trial{Cfg: UniformConfig(p, n)}, nil
+	case "arbitrary":
+		if count {
+			return Trial{}, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
+		}
+		ap, ok := p.(core.ArbitraryInitProtocol)
+		if !ok {
+			return Trial{}, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
+		}
+		return Trial{Cfg: ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed)))}, nil
+	default:
+		return Trial{}, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+	}
+}
+
 // corruptScratch pools the index slices of Corrupt so repeated fault
 // injections (the recovery sweeps) do not reallocate them.
 var corruptScratch = sync.Pool{New: func() any { return new([]int) }}
