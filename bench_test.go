@@ -13,7 +13,6 @@ package popnaming
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
@@ -22,6 +21,7 @@ import (
 	"popnaming/internal/explore"
 	"popnaming/internal/impossible"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/search"
 	"popnaming/internal/sim"
@@ -68,7 +68,7 @@ func BenchmarkE02Asymmetric(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			pr := naming.NewAsymmetric(n)
 			benchConverge(b, func(seed int64) (*sim.Runner, *core.Config) {
-				cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				cfg := sim.ArbitraryConfig(pr, n, prng.New(seed))
 				return sim.NewRunner(pr, sched.NewRoundRobin(n, false), cfg), cfg
 			})
 		})
@@ -85,7 +85,7 @@ func BenchmarkE03SymGlobal(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			pr := naming.NewSymGlobal(n)
 			benchConverge(b, func(seed int64) (*sim.Runner, *core.Config) {
-				cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				cfg := sim.ArbitraryConfig(pr, n, prng.New(seed))
 				return sim.NewRunner(pr, sched.NewRandom(n, false, seed), cfg), cfg
 			})
 		})
@@ -115,7 +115,7 @@ func BenchmarkE05Counting(b *testing.B) {
 			pr := counting.New(n + 1)
 			totalSteps := 0
 			for i := 0; i < b.N; i++ {
-				cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(int64(i))))
+				cfg := sim.ArbitraryConfig(pr, n, prng.New(int64(i)))
 				res := sim.NewRunner(pr, sched.NewRoundRobin(n, true), cfg).Run(200_000_000)
 				if !res.Converged || pr.Count(cfg) != n {
 					b.Fatalf("bad count: %s", res)
@@ -135,7 +135,7 @@ func BenchmarkE06SelfStab(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			pr := naming.NewSelfStab(n)
 			benchConverge(b, func(seed int64) (*sim.Runner, *core.Config) {
-				cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				cfg := sim.ArbitraryConfig(pr, n, prng.New(seed))
 				return sim.NewRunner(pr, sched.NewRoundRobin(n, true), cfg), cfg
 			})
 		})
@@ -150,7 +150,7 @@ func BenchmarkE07GlobalPFull(b *testing.B) {
 		b.Run(fmt.Sprintf("P=N=%d", p), func(b *testing.B) {
 			pr := naming.NewGlobalP(p)
 			benchConverge(b, func(seed int64) (*sim.Runner, *core.Config) {
-				cfg := sim.ArbitraryConfig(pr, p, rand.New(rand.NewSource(seed)))
+				cfg := sim.ArbitraryConfig(pr, p, prng.New(seed))
 				return sim.NewRunner(pr, sched.NewRandom(p, true, seed), cfg), cfg
 			})
 		})
@@ -264,7 +264,7 @@ func BenchmarkE14UStarAblation(b *testing.B) {
 func BenchmarkStepThroughput(b *testing.B) {
 	const n = 64
 	pr := naming.NewSelfStab(n)
-	cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(1)))
+	cfg := sim.ArbitraryConfig(pr, n, prng.New(1))
 	run := sim.NewRunner(pr, sched.NewRandom(n, true, 1), cfg)
 	if !run.Compiled() {
 		b.Fatal("compiled engine unavailable")
@@ -281,7 +281,7 @@ func BenchmarkStepThroughput(b *testing.B) {
 func BenchmarkStepThroughputInterp(b *testing.B) {
 	const n = 64
 	pr := naming.NewSelfStab(n)
-	cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(1)))
+	cfg := sim.ArbitraryConfig(pr, n, prng.New(1))
 	run := sim.NewRunner(pr, sched.NewRandom(n, true, 1), cfg)
 	run.Interpret = true
 	b.ResetTimer()
@@ -300,7 +300,7 @@ func BenchmarkRunConverge(b *testing.B) {
 	pr := naming.NewAsymmetric(n)
 	totalSteps := 0
 	for i := 0; i < b.N; i++ {
-		cfg := sim.ArbitraryConfig(pr, n, rand.New(rand.NewSource(int64(i))))
+		cfg := sim.ArbitraryConfig(pr, n, prng.New(int64(i)))
 		res := sim.NewRunner(pr, sched.NewRandom(n, false, int64(i)), cfg).Run(200_000_000)
 		if !res.Converged {
 			b.Fatalf("did not converge: %s", res)
@@ -427,7 +427,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sup := sim.Supervision{StepBudget: 100_000_000, Slice: 100_000_000}
 		sum := sim.RunBatchSupervised(context.Background(), pr, 16, 0, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
-			r := rand.New(rand.NewSource(int64(i*100 + trial)))
+			r := prng.New(int64(i*100 + trial))
 			return sim.Trial{
 				Cfg:   sim.ArbitraryConfig(pr, n, r),
 				Sched: sched.NewRandom(n, true, int64(i*100+trial)),

@@ -207,8 +207,14 @@ func prepare(o *options) (*serve.Prepared, error) {
 	}
 	sp := pj.Spec()
 	o.n, o.seed, o.derived = sp.N, sp.Seed, pj.SeedDerived()
-	if o.eclipse() && (o.hidden < 0 || o.hidden >= o.n || o.n < 2) {
-		return nil, fmt.Errorf("eclipse scheduler: hidden agent %d outside [0,%d) (needs N >= 2)", o.hidden, o.n)
+	if o.eclipse() {
+		if o.hidden < 0 || o.hidden >= o.n {
+			return nil, fmt.Errorf("eclipse scheduler: hidden agent %d outside [0,%d)", o.hidden, o.n)
+		}
+		// The eclipse phase schedules the N-1 agents left visible.
+		if err := sched.CheckPopulation(o.n-1, core.HasLeader(pj.Proto())); err != nil {
+			return nil, fmt.Errorf("eclipse scheduler: hiding one of %d agents: %v", o.n, err)
+		}
 	}
 	return pj, nil
 }

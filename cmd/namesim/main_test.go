@@ -193,7 +193,7 @@ func TestRunTwiceSameBytes(t *testing.T) {
 	}{
 		{"agent", []string{"-protocol", "selfstab", "-p", "6", "-seed", "3"}, "status: ok"},
 		{"faults-retry", []string{"-protocol", "symglobal", "-p", "6", "-init", "arbitrary",
-			"-faults", "@200:crash=2", "-stall", "5000", "-retries", "1", "-seed", "5"}, "retry 1: derived seed"},
+			"-faults", "@200:crash=2", "-stall", "5000", "-retries", "1", "-seed", "1"}, "retry 1: derived seed"},
 		{"count", []string{"-protocol", "asym", "-engine", "count", "-p", "12", "-n", "1000",
 			"-budget", "200000", "-deadline", "1m", "-retries", "1", "-seed", "4"}, "engine count"},
 		{"adversary", []string{"-protocol", "selfstab", "-p", "6", "-adversary", "-init", "arbitrary",

@@ -13,9 +13,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"popnaming/internal/counting"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -24,7 +24,7 @@ func main() {
 	const bound = 16 // the base station knows N <= 16
 
 	proto := counting.New(bound)
-	r := rand.New(rand.NewSource(99))
+	r := prng.New(99)
 
 	for _, n := range []int{3, 7, 12, 16} {
 		// The agents' memories are garbage; only the base station is

@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"popnaming/internal/core"
 	"popnaming/internal/election"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -25,7 +25,7 @@ import (
 func main() {
 	const n = 9
 	proto := election.New(n)
-	r := rand.New(rand.NewSource(5))
+	r := prng.New(5)
 
 	// Arbitrary initial states — maybe several self-declared leaders,
 	// maybe none.
@@ -42,8 +42,8 @@ func main() {
 	// Crash-recover three times; the survivor set re-elects each time.
 	for round := 1; round <= 3; round++ {
 		for i := range cfg.Mobile {
-			if r.Intn(3) == 0 {
-				cfg.Mobile[i] = core.State(r.Intn(n))
+			if r.IntN(3) == 0 {
+				cfg.Mobile[i] = core.State(r.IntN(n))
 			}
 		}
 		res = sim.NewRunner(proto, sched.NewRandom(n, false, int64(round)), cfg).Run(5_000_000)

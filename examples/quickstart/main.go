@@ -11,9 +11,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -24,7 +24,7 @@ func main() {
 	proto := naming.NewAsymmetric(p)
 
 	// Agents power on with arbitrary garbage in their name registers.
-	cfg := sim.ArbitraryConfig(proto, p, rand.New(rand.NewSource(42)))
+	cfg := sim.ArbitraryConfig(proto, p, prng.New(42))
 	fmt.Println("before:", cfg)
 
 	// Any weakly fair interaction pattern works; uniform-random meetings

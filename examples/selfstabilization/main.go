@@ -13,9 +13,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -26,7 +26,7 @@ func main() {
 		n = 10 // actual population
 	)
 	proto := naming.NewSelfStab(p)
-	r := rand.New(rand.NewSource(7))
+	r := prng.New(7)
 
 	// Nothing is initialized: agents AND base station start arbitrary.
 	cfg := sim.ArbitraryConfig(proto, n, r)

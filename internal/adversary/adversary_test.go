@@ -1,12 +1,12 @@
 package adversary
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/fairness"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sim"
 	"popnaming/internal/trace"
 )
@@ -60,7 +60,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	const p, steps = 4, 20000
 	pr := naming.NewGlobalP(p)
 	play := func() ([]trace.Event, int) {
-		cfg := sim.ArbitraryConfig(pr, p, rand.New(rand.NewSource(3)))
+		cfg := sim.ArbitraryConfig(pr, p, prng.New(3))
 		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
 		var col trace.Collector
 		run.OnStep = col.Record
@@ -91,7 +91,7 @@ func TestGreedyDefeatsGlobalPAtFullPopulation(t *testing.T) {
 	budgets := map[int]int{3: 300_000, 4: 300_000, 5: 500_000}
 	for p, budget := range budgets {
 		pr := naming.NewGlobalP(p)
-		r := rand.New(rand.NewSource(int64(p)))
+		r := prng.New(int64(p))
 		cfg := sim.ArbitraryConfig(pr, p, r)
 		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
 		if run.Run(budget) {
@@ -109,7 +109,7 @@ func TestGreedyDefeatsGlobalPAtFullPopulation(t *testing.T) {
 func TestGreedyCannotDefeatSelfStab(t *testing.T) {
 	for _, p := range []int{3, 4, 5} {
 		pr := naming.NewSelfStab(p)
-		r := rand.New(rand.NewSource(int64(p * 7)))
+		r := prng.New(int64(p * 7))
 		cfg := sim.ArbitraryConfig(pr, p, r)
 		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
 		if !run.Run(5_000_000) {
@@ -126,7 +126,7 @@ func TestGreedyCannotDefeatSelfStab(t *testing.T) {
 func TestGreedyCannotDefeatAsymmetric(t *testing.T) {
 	const p = 6
 	pr := naming.NewAsymmetric(p)
-	r := rand.New(rand.NewSource(11))
+	r := prng.New(11)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	run := NewRunner(pr, cfg, NewGreedyNaming(pr))
 	if !run.Run(5_000_000) || !cfg.ValidNaming() {

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"popnaming/internal/prng"
 )
 
 // lyingProtocol wraps a protocol and overrides its symmetry claim, to
@@ -152,18 +153,18 @@ func TestCensusTracksTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := prng.New(7)
 	cfg := NewConfig(n, 0)
 	for i := range cfg.Mobile {
-		cfg.Mobile[i] = State(rng.Intn(q))
+		cfg.Mobile[i] = State(rng.IntN(q))
 	}
 	cs, err := NewCensus(c, cfg)
 	if err != nil {
 		t.Fatalf("NewCensus: %v", err)
 	}
 	for step := 0; step < steps; step++ {
-		i := rng.Intn(n)
-		j := rng.Intn(n - 1)
+		i := rng.IntN(n)
+		j := rng.IntN(n - 1)
 		if j >= i {
 			j++
 		}

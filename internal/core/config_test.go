@@ -1,11 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"popnaming/internal/prng"
 )
 
 // testLeader is a minimal LeaderState for configuration tests.
@@ -101,7 +102,7 @@ func TestKeyLeaderSeparator(t *testing.T) {
 // Property: MultisetKey is invariant under permutation; Key is injective
 // on distinct vectors.
 func TestMultisetKeyPermutationInvariant(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
+	r := prng.New(7)
 	prop := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
+
+	"popnaming/internal/prng"
 )
 
 func benchConfig(n, q int) *Config {
-	rng := rand.New(rand.NewSource(42))
+	rng := prng.New(42)
 	cfg := NewConfig(n, 0)
 	for i := range cfg.Mobile {
-		cfg.Mobile[i] = State(rng.Intn(q))
+		cfg.Mobile[i] = State(rng.IntN(q))
 	}
 	return cfg
 }

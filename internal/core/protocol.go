@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Protocol is a deterministic population protocol over mobile agents.

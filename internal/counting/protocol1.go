@@ -15,7 +15,7 @@ package counting
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/seq"
@@ -91,7 +91,7 @@ func (pr *Protocol1) Count(c *core.Config) int { return c.Leader.(BST).N }
 // RandomMobile returns an arbitrary mobile state, for adversarial
 // initialization experiments.
 func (pr *Protocol1) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p))
+	return core.State(r.IntN(pr.p))
 }
 
 // HomonymRule is the shared symmetric mobile-mobile rule of Protocols

@@ -1,12 +1,12 @@
 package counting
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/seq"
 	"popnaming/internal/sim"
@@ -106,7 +106,7 @@ func TestCountingStepMonotonicity(t *testing.T) {
 // arbitrary mobile initialization, the BST's guess converges to N under
 // weak fairness.
 func TestCountsExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
+	r := prng.New(5)
 	for p := 2; p <= 8; p++ {
 		pr := New(p)
 		for n := 1; n <= p; n++ {
@@ -128,7 +128,7 @@ func TestCountsExactly(t *testing.T) {
 // TestNamesWhenSmall: the second Theorem 15 claim — for N < P the
 // protocol also names: distinct states, drawn from {1..N}.
 func TestNamesWhenSmall(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
+	r := prng.New(6)
 	for p := 3; p <= 8; p++ {
 		pr := New(p)
 		for n := 1; n < p; n++ {
@@ -160,7 +160,7 @@ func TestNamingCanFailAtFullPopulation(t *testing.T) {
 	pr := New(p)
 	failed := false
 	for seed := int64(0); seed < 20 && !failed; seed++ {
-		r := rand.New(rand.NewSource(seed))
+		r := prng.New(seed)
 		cfg := sim.ArbitraryConfig(pr, p, r)
 		res := sim.NewRunner(pr, sched.NewRandom(p, true, seed), cfg).Run(5_000_000)
 		if !res.Converged {
@@ -277,7 +277,7 @@ func TestLeaderStateSemantics(t *testing.T) {
 func TestGuessNeverDecreasesInExecution(t *testing.T) {
 	const p = 6
 	pr := New(p)
-	r := rand.New(rand.NewSource(9))
+	r := prng.New(9)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	run := sim.NewRunner(pr, sched.NewRandom(p, true, 4), cfg)
 	prev := 0
@@ -293,7 +293,7 @@ func TestGuessNeverDecreasesInExecution(t *testing.T) {
 
 func TestRandomMobileRange(t *testing.T) {
 	pr := New(5)
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 	for i := 0; i < 1000; i++ {
 		s := pr.RandomMobile(r)
 		if s < 0 || int(s) >= pr.States() {

@@ -17,7 +17,7 @@ package election
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"

@@ -1,11 +1,11 @@
 package election
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -37,7 +37,7 @@ func TestLeaderPredicates(t *testing.T) {
 // TestElectsAtExactSize: with m = n the protocol self-stabilizes to a
 // unique stable leader under both fairness regimes.
 func TestElectsAtExactSize(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 	for n := 2; n <= 10; n++ {
 		p := New(n)
 		for trial := 0; trial < 5; trial++ {
@@ -115,7 +115,7 @@ func TestExactKnowledgeNecessary(t *testing.T) {
 func TestLeaderIsStable(t *testing.T) {
 	const n = 6
 	p := New(n)
-	r := rand.New(rand.NewSource(2))
+	r := prng.New(2)
 	cfg := p.RandomConfig(n, r)
 	res := sim.NewRunner(p, sched.NewRandom(n, false, 3), cfg).Run(5_000_000)
 	if !res.Converged || !Elected(cfg) {

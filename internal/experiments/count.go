@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -80,7 +80,7 @@ func countDiffCase(key string) (core.Protocol, int, int) {
 // uniform otherwise — identical to the agent-engine differential suite.
 func countDiffStart(pr core.Protocol, n int, seed int64) *core.Config {
 	if ap, ok := pr.(core.ArbitraryInitProtocol); ok {
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed)))
+		return sim.ArbitraryConfig(ap, n, prng.New(seed))
 	}
 	return sim.UniformConfig(pr, n)
 }

@@ -122,7 +122,7 @@ func TestFullPopulationCost(t *testing.T) {
 
 func TestSlackReducesCost(t *testing.T) {
 	res := Slack("symglobal", protoSymGlobal, SlackOptions{
-		N: 12, MaxSlack: 4, Trials: 5, Budget: 50_000_000, Seed: 6,
+		N: 12, MaxSlack: 4, Trials: 101, Budget: 50_000_000, Seed: 6,
 	})
 	if len(res.Points) != 5 {
 		t.Fatalf("got %d points", len(res.Points))
@@ -133,7 +133,9 @@ func TestSlackReducesCost(t *testing.T) {
 		}
 	}
 	// At N = 12 the tight instance costs several times more than even a
-	// single state of slack (measured ~7x; assert a conservative 2x).
+	// single state of slack (medians over 801 trials differ ~3.8x;
+	// assert a conservative 2x). 101 trials keep the medians stable
+	// enough for the bound to hold across seeds and generators.
 	tight, oneSlack := res.Points[0], res.Points[1]
 	if tight.MedianSteps <= 2*oneSlack.MedianSteps {
 		t.Errorf("expected tight instance to dominate: tight %v vs slack-1 %v",

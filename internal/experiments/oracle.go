@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"popnaming/internal/naming"
 	"popnaming/internal/oracle"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sim"
 )
@@ -35,7 +35,7 @@ type OraclePoint struct {
 // fairness: convergence hinges on rare-but-reachable sequences.
 func OracleSchedules(seed int64) []OraclePoint {
 	var out []OraclePoint
-	r := rand.New(rand.NewSource(seed))
+	r := prng.New(seed)
 	exact := map[string]map[int]float64{}
 	for _, e := range ExactTimes() {
 		if exact[e.Protocol] == nil {

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -65,7 +65,7 @@ func (o *RecoveryOptions) fill() {
 func Recovery(name string, pr core.ArbitraryInitProtocol, opts RecoveryOptions) RecoveryResult {
 	opts.fill()
 	res := RecoveryResult{Protocol: name, N: opts.N}
-	r := rand.New(rand.NewSource(opts.Seed))
+	r := prng.New(opts.Seed)
 	mkSched := func(trial int) sched.Scheduler {
 		if opts.Global {
 			return sched.NewRandom(opts.N, core.HasLeader(pr), opts.Seed+int64(trial))

@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
 	"popnaming/internal/fairness"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -65,7 +65,7 @@ func FairnessSeparation(p int, seed int64) SeparationResult {
 		}
 	}
 
-	r := rand.New(rand.NewSource(seed))
+	r := prng.New(seed)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	run := sim.NewRunner(pr, sched.NewRandom(p, true, seed), cfg).Run(100_000_000)
 	res.RandomRunConverged = run.Converged && cfg.ValidNaming()

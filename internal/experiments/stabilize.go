@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"time"
 
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -184,7 +184,7 @@ func StabilizePlan(name string, pr core.ArbitraryInitProtocol, plan *fault.Plan,
 	bo := sim.BatchObs{Sink: opts.Sink}
 	sum := sim.RunBatchSupervised(context.Background(), pr, opts.Trials, opts.Workers, sup, bo, func(trial, attempt int) sim.Trial {
 		seed := sim.DeriveSeed(opts.Seed, trial, attempt)
-		rng := rand.New(rand.NewSource(seed))
+		rng := prng.New(seed)
 		cfg := sim.ArbitraryConfig(pr, opts.N, rng)
 		inj, err := fault.NewInjector(plan, pr, seed)
 		if err != nil {

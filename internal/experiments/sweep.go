@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -126,7 +127,7 @@ func Sweep(name string, mkProto func(p int) core.Protocol, opts SweepOptions) Sw
 		// budget keeps a bare run's stopping rule.
 		sup := sim.Supervision{StepBudget: opts.Budget, Slice: opts.Budget}
 		batch := sim.RunBatchSupervised(context.Background(), pr, opts.Trials, 0, sup, sim.BatchObs{}, func(trial, attempt int) sim.Trial {
-			r := rand.New(rand.NewSource(opts.Seed + int64(nn*100000+trial)))
+			r := prng.New(opts.Seed + int64(nn*100000+trial))
 			var s sched.Scheduler
 			if opts.Global {
 				s = sched.NewRandom(nn, core.HasLeader(pr), opts.Seed+int64(nn*1000+trial))
@@ -208,7 +209,7 @@ func FullPopulationCost(seed int64, maxP int) SweepResult {
 	for p := 2; p <= maxP; p++ {
 		pr := naming.NewGlobalP(p)
 		res.States = pr.States()
-		r := rand.New(rand.NewSource(seed + int64(p)))
+		r := prng.New(seed + int64(p))
 		var steps []float64
 		failures := 0
 		trials := 5

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"popnaming/internal/adversary"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/report"
 	"popnaming/internal/sim"
 )
@@ -44,7 +44,7 @@ func Thm11Scaling(maxP int, budget int, seed int64) []Thm11Point {
 		pt := Thm11Point{P: p, Budget: budget}
 
 		gp := naming.NewGlobalP(p)
-		r := rand.New(rand.NewSource(seed + int64(p)))
+		r := prng.New(seed + int64(p))
 		cfg := sim.ArbitraryConfig(gp, p, r)
 		run := adversary.NewRunner(gp, cfg, adversary.NewGreedyNaming(gp))
 		silent := run.Run(budget)

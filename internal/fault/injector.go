@@ -2,10 +2,11 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 )
 
 // Fired records one executed event with the interaction count at which
@@ -42,8 +43,8 @@ type Injector struct {
 
 	plan *Plan
 	pr   core.Protocol
-	ap   core.ArbitraryInitProtocol   // nil unless needed
-	alp  core.ArbitraryLeaderProtocol // nil unless needed
+	ap   core.ArbitraryInitProtocol   // nil when pr has no RandomMobile
+	alp  core.ArbitraryLeaderProtocol // nil when pr has no RandomLeader
 	rng  *rand.Rand
 
 	next      int // index of the next unfired plan event
@@ -56,43 +57,45 @@ type Injector struct {
 	scratch  []int // victim-selection index pool
 }
 
-// mix64 is the splitmix64 finalizer, used to fold the plan seed into
-// the run seed without correlation between nearby seeds.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewInjector builds an injector for one run of protocol pr. It
 // validates the plan against the protocol's capabilities up front:
 // corrupt events need an ArbitraryInitProtocol (RandomMobile) and
 // leader events an ArbitraryLeaderProtocol (RandomLeader), so a
 // misdirected plan fails before any stepping instead of mid-run.
 func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
+	if err := CheckPlan(plan, pr); err != nil {
+		return nil, err
+	}
 	inj := &Injector{plan: plan, pr: pr}
-	inj.rng = rand.New(rand.NewSource(int64(mix64(uint64(seed)) ^ mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))))
+	inj.rng = prng.New(int64(prng.Mix64(uint64(seed)) ^ prng.Mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15)))
 	if up, ok := pr.(core.UniformInitProtocol); ok {
 		inj.initState = up.InitMobile()
+	}
+	inj.ap, _ = pr.(core.ArbitraryInitProtocol)
+	inj.alp, _ = pr.(core.ArbitraryLeaderProtocol)
+	return inj, nil
+}
+
+// CheckPlan is NewInjector's capability check, building nothing: it
+// fails when plan corrupts mobile agents of a protocol without
+// RandomMobile or the leader of one without RandomLeader.
+func CheckPlan(plan *Plan, pr core.Protocol) error {
+	if plan.Empty() {
+		return nil
 	}
 	for _, ev := range plan.Events {
 		switch ev.Kind {
 		case Corrupt:
-			ap, ok := pr.(core.ArbitraryInitProtocol)
-			if !ok {
-				return nil, fmt.Errorf("fault: protocol %q does not support corruption (no RandomMobile)", pr.Name())
+			if _, ok := pr.(core.ArbitraryInitProtocol); !ok {
+				return fmt.Errorf("fault: protocol %q does not support corruption (no RandomMobile)", pr.Name())
 			}
-			inj.ap = ap
 		case Leader:
-			alp, ok := pr.(core.ArbitraryLeaderProtocol)
-			if !ok {
-				return nil, fmt.Errorf("fault: protocol %q does not support leader corruption (no RandomLeader)", pr.Name())
+			if _, ok := pr.(core.ArbitraryLeaderProtocol); !ok {
+				return fmt.Errorf("fault: protocol %q does not support leader corruption (no RandomLeader)", pr.Name())
 			}
-			inj.alp = alp
 		}
 	}
-	return inj, nil
+	return nil
 }
 
 // Empty reports whether the plan schedules no events at all.
@@ -210,7 +213,7 @@ func (inj *Injector) victims(k, n int, eligible func(int) bool) []int {
 		k = len(idx)
 	}
 	for i := 0; i < k; i++ {
-		j := i + inj.rng.Intn(len(idx)-i)
+		j := i + inj.rng.IntN(len(idx)-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]

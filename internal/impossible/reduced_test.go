@@ -1,12 +1,12 @@
 package impossible
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -35,7 +35,7 @@ func TestIsReduced(t *testing.T) {
 func TestReducedInvariant(t *testing.T) {
 	const p = 6
 	pr := counting.New(p)
-	r := rand.New(rand.NewSource(3))
+	r := prng.New(3)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	run := NewReducedRunner(pr, sched.NewRandom(p, true, 3), cfg, 0)
 	if !IsReduced(cfg, 0) {
@@ -54,7 +54,7 @@ func TestReducedInvariant(t *testing.T) {
 func TestReducedExecutionStillConverges(t *testing.T) {
 	const p = 5
 	pr := naming.NewSelfStab(p)
-	r := rand.New(rand.NewSource(4))
+	r := prng.New(4)
 	for trial := 0; trial < 10; trial++ {
 		cfg := sim.ArbitraryConfig(pr, p, r)
 		run := NewReducedRunner(pr, sched.NewRoundRobin(p, true), cfg, 0)

@@ -20,7 +20,7 @@ package naming
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 )
@@ -68,7 +68,7 @@ func (pr *Asymmetric) Mobile(x, y core.State) (core.State, core.State) {
 // RandomMobile returns an arbitrary mobile state for self-stabilization
 // experiments.
 func (pr *Asymmetric) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p))
+	return core.State(r.IntN(pr.p))
 }
 
 // Holes returns the number of holes of the configuration: states in

@@ -1,12 +1,12 @@
 package naming
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -32,7 +32,7 @@ func TestAsymmetricRule(t *testing.T) {
 // TestConvergesUnderBothFairness: Proposition 12 claims correctness
 // under weak AND global fairness, from arbitrary starts, leaderless.
 func TestAsymmetricConvergesUnderBothFairness(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
+	r := prng.New(11)
 	for p := 2; p <= 10; p++ {
 		pr := NewAsymmetric(p)
 		for n := 2; n <= p; n++ {
@@ -59,7 +59,7 @@ func TestAsymmetricConvergesUnderBothFairness(t *testing.T) {
 func TestPotentialStrictlyDecreases(t *testing.T) {
 	const p, n = 6, 6
 	pr := NewAsymmetric(p)
-	r := rand.New(rand.NewSource(12))
+	r := prng.New(12)
 	for trial := 0; trial < 50; trial++ {
 		cfg := sim.ArbitraryConfig(pr, n, r)
 		s := sched.NewRandom(n, false, int64(trial))
@@ -152,7 +152,7 @@ func TestAsymmetricModelCheckWeak(t *testing.T) {
 func TestAsymmetricFullPopulationUsesAllStates(t *testing.T) {
 	const p = 7
 	pr := NewAsymmetric(p)
-	r := rand.New(rand.NewSource(13))
+	r := prng.New(13)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	res := sim.NewRunner(pr, sched.NewRoundRobin(p, false), cfg).Run(5_000_000)
 	if !res.Converged {

@@ -2,7 +2,7 @@ package naming
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
@@ -81,7 +81,7 @@ func (pr *GlobalP) InitLeader() core.LeaderState { return PtrBST{} }
 
 // RandomMobile returns an arbitrary mobile state in [0, P-1].
 func (pr *GlobalP) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p))
+	return core.State(r.IntN(pr.p))
 }
 
 // LeaderInteract implements core.LeaderProtocol: lines 1-16 of

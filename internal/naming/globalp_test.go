@@ -1,11 +1,11 @@
 package naming
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -37,7 +37,7 @@ func TestGlobalPBehavesAsProtocol1BelowP(t *testing.T) {
 	// are Protocol 1's {1..N}.
 	const p = 6
 	pr := NewGlobalP(p)
-	r := rand.New(rand.NewSource(41))
+	r := prng.New(41)
 	for n := 1; n < p; n++ {
 		cfg := sim.ArbitraryConfig(pr, n, r)
 		res := sim.NewRunner(pr, sched.NewRoundRobin(n, true), cfg).Run(5_000_000)
@@ -70,7 +70,7 @@ func TestGlobalPBehavesAsProtocol1BelowP(t *testing.T) {
 func TestGlobalPNamesFullPopulation(t *testing.T) {
 	for _, p := range []int{2, 3, 4} {
 		pr := NewGlobalP(p)
-		r := rand.New(rand.NewSource(int64(p)))
+		r := prng.New(int64(p))
 		for trial := 0; trial < 3; trial++ {
 			cfg := sim.ArbitraryConfig(pr, p, r)
 			res := sim.NewRunner(pr, sched.NewRandom(p, true, int64(p*10+trial)), cfg).Run(50_000_000)
@@ -193,7 +193,7 @@ func TestGlobalPWeakFairnessBelowP(t *testing.T) {
 func TestGlobalPPointerCompletionImpliesNaming(t *testing.T) {
 	const p = 4
 	pr := NewGlobalP(p)
-	r := rand.New(rand.NewSource(43))
+	r := prng.New(43)
 	for trial := 0; trial < 10; trial++ {
 		cfg := sim.ArbitraryConfig(pr, p, r)
 		run := sim.NewRunner(pr, sched.NewRandom(p, true, int64(trial+100)), cfg)

@@ -2,7 +2,7 @@ package naming
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
@@ -54,14 +54,14 @@ func (pr *NoReset) InitLeader() core.LeaderState { return ResetBST{} }
 // tolerates).
 func (pr *NoReset) RandomLeader(r *rand.Rand) core.LeaderState {
 	return ResetBST{
-		N: r.Intn(pr.p + 2),
-		K: r.Intn(seq.Len(pr.p) + 2),
+		N: r.IntN(pr.p + 2),
+		K: r.IntN(seq.Len(pr.p) + 2),
 	}
 }
 
 // RandomMobile returns an arbitrary mobile state in [0, P].
 func (pr *NoReset) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p + 1))
+	return core.State(r.IntN(pr.p + 1))
 }
 
 // LeaderInteract implements core.LeaderProtocol: Protocol 2 WITHOUT the

@@ -1,10 +1,10 @@
 package naming
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/seq"
 	"popnaming/internal/sim"
@@ -37,7 +37,7 @@ func TestNoResetRejectsTinyBound(t *testing.T) {
 func TestNoResetNamesWithInitializedLeader(t *testing.T) {
 	const p = 6
 	pr := NewNoReset(p)
-	r := rand.New(rand.NewSource(51))
+	r := prng.New(51)
 	for n := 1; n <= p; n++ {
 		cfg := core.NewConfig(n, 0).WithLeader(pr.InitLeader())
 		for i := range cfg.Mobile {
@@ -73,7 +73,7 @@ func TestNoResetStuckWithCorruptLeader(t *testing.T) {
 
 func TestNoResetRandomLeaderDomain(t *testing.T) {
 	pr := NewNoReset(3)
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 	for i := 0; i < 500; i++ {
 		l := pr.RandomLeader(r).(ResetBST)
 		if l.N < 0 || l.N > 4 || l.K < 0 || l.K > seq.Len(3)+1 {

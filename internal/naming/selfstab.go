@@ -2,7 +2,7 @@ package naming
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
@@ -80,14 +80,14 @@ func (pr *SelfStab) InitLeader() core.LeaderState { return ResetBST{} }
 // k in [0, 2^P].
 func (pr *SelfStab) RandomLeader(r *rand.Rand) core.LeaderState {
 	return ResetBST{
-		N: r.Intn(pr.p + 2),
-		K: r.Intn(seq.Len(pr.p) + 2), // [0, 2^P]
+		N: r.IntN(pr.p + 2),
+		K: r.IntN(seq.Len(pr.p) + 2), // [0, 2^P]
 	}
 }
 
 // RandomMobile returns an arbitrary mobile state in [0, P].
 func (pr *SelfStab) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p + 1))
+	return core.State(r.IntN(pr.p + 1))
 }
 
 // LeaderInteract implements core.LeaderProtocol: Protocol 1's update with

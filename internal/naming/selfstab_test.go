@@ -1,11 +1,11 @@
 package naming
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/seq"
 	"popnaming/internal/sim"
@@ -15,7 +15,7 @@ import (
 // states, arbitrary mobile states AND arbitrary leader state, weak
 // fairness.
 func TestSelfStabConvergesFromArbitraryEverything(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
+	r := prng.New(31)
 	for p := 2; p <= 8; p++ {
 		pr := NewSelfStab(p)
 		for n := 1; n <= p; n++ {
@@ -41,7 +41,7 @@ func TestSelfStabConvergesFromArbitraryEverything(t *testing.T) {
 // TestSelfStabNamesFullPopulation: unlike Protocol 1, the P+1-state
 // version names all N = P agents (the extra state extends U* to U_P).
 func TestSelfStabNamesFullPopulation(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
+	r := prng.New(32)
 	const p = 7
 	pr := NewSelfStab(p)
 	for trial := 0; trial < 20; trial++ {
@@ -176,7 +176,7 @@ func allSelfStabStarts(pr *SelfStab, n int) []*core.Config {
 func TestSelfStabRecoversFromCorruption(t *testing.T) {
 	const p = 6
 	pr := NewSelfStab(p)
-	r := rand.New(rand.NewSource(33))
+	r := prng.New(33)
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	res := sim.NewRunner(pr, sched.NewRoundRobin(p, true), cfg).Run(5_000_000)
 	if !res.Converged {
@@ -203,7 +203,7 @@ func TestResetBSTLeaderState(t *testing.T) {
 
 func TestSelfStabRandomLeaderInDomain(t *testing.T) {
 	pr := NewSelfStab(4)
-	r := rand.New(rand.NewSource(2))
+	r := prng.New(2)
 	for i := 0; i < 1000; i++ {
 		l := pr.RandomLeader(r).(ResetBST)
 		if l.N < 0 || l.N > 5 || l.K < 0 || l.K > seq.Len(4)+1 {

@@ -2,7 +2,7 @@ package naming
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 )
@@ -68,5 +68,5 @@ func (pr *SymGlobal) Mobile(x, y core.State) (core.State, core.State) {
 // RandomMobile returns an arbitrary mobile state for self-stabilization
 // experiments.
 func (pr *SymGlobal) RandomMobile(r *rand.Rand) core.State {
-	return core.State(r.Intn(pr.p + 1))
+	return core.State(r.IntN(pr.p + 1))
 }

@@ -1,12 +1,12 @@
 package naming
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
 	"popnaming/internal/fairness"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -36,7 +36,7 @@ func TestSymGlobalRules(t *testing.T) {
 // TestSymGlobalSelfStabilizes: Proposition 13 — from arbitrary starts,
 // no leader, under random (globally fair) scheduling, N > 2.
 func TestSymGlobalSelfStabilizes(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
+	r := prng.New(21)
 	for p := 3; p <= 8; p++ {
 		pr := NewSymGlobal(p)
 		for n := 3; n <= p; n++ {

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"time"
+
+	"popnaming/internal/prng"
 )
 
 // Tracing: a stdlib-only span layer over the journal. A trace is a tree
@@ -30,15 +32,6 @@ type SpanID uint64
 func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
 func (s SpanID) String() string  { return fmt.Sprintf("%016x", uint64(s)) }
 
-// mix64 is the splitmix64 finalizer (the repo-wide seed-derivation
-// primitive; cf. sim.DeriveSeed).
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // fnv64a is the 64-bit FNV-1a hash of s.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
@@ -53,7 +46,7 @@ func fnv64a(s string) uint64 {
 // The derivation is deterministic and never returns zero, so a
 // same-seed resubmission carries the same trace ID.
 func NewTraceID(seed int64) TraceID {
-	z := mix64(uint64(seed))
+	z := prng.Mix64(uint64(seed))
 	if z == 0 {
 		z = 0x9e3779b97f4a7c15
 	}
@@ -66,9 +59,9 @@ func NewTraceID(seed int64) TraceID {
 // counters, no randomness — is what keeps span trees byte-identical
 // across same-seed runs regardless of worker interleaving.
 func DeriveSpanID(trace TraceID, parent SpanID, name string, index int) SpanID {
-	z := mix64(uint64(trace) ^ uint64(parent))
-	z = mix64(z ^ fnv64a(name))
-	z = mix64(z ^ uint64(index)*0x9e3779b97f4a7c15)
+	z := prng.Mix64(uint64(trace) ^ uint64(parent))
+	z = prng.Mix64(z ^ fnv64a(name))
+	z = prng.Mix64(z ^ uint64(index)*0x9e3779b97f4a7c15)
 	if z == 0 {
 		z = 1
 	}

@@ -20,12 +20,22 @@ type Matching struct {
 }
 
 // NewMatching returns a perfect-matching phase scheduler for an even
-// number n >= 2 of mobile agents (no leader).
+// number n >= 2 of mobile agents (no leader). It panics when
+// CheckMatching rejects n.
 func NewMatching(n int) *Matching {
-	if n < 2 || n%2 != 0 {
-		panic(fmt.Sprintf("sched: matching scheduler requires even n >= 2, got %d", n))
+	if err := CheckMatching(n); err != nil {
+		panic(err.Error())
 	}
 	return &Matching{n: n}
+}
+
+// CheckMatching reports whether n mobile agents admit perfect
+// matchings: n must be even and at least 2.
+func CheckMatching(n int) error {
+	if n < 2 || n%2 != 0 {
+		return fmt.Errorf("sched: matching scheduler requires even n >= 2, got %d", n)
+	}
+	return nil
 }
 
 // Name implements Scheduler.

@@ -18,9 +18,10 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
+	"popnaming/internal/prng"
 )
 
 // Scheduler yields an infinite sequence of interaction pairs for a fixed
@@ -43,12 +44,14 @@ const randBatch = 128
 //
 // Pairs are drawn in batches: each refill consumes one 64-bit value per
 // pair and derives both sides by fixed-point multiply-and-shift, so the
-// steady-state cost of Next is a buffer load. The sequence is a
-// deterministic function of the seed, as before.
+// steady-state cost of Next is a buffer load. The generator is a PCG
+// seeded through prng.PCG and held by value, so construction allocates
+// only the scheduler itself and every draw is a direct call. The
+// sequence is a deterministic function of the seed.
 type Random struct {
 	n          int
 	withLeader bool
-	src        rand.Source64 // held directly: refill skips the *rand.Rand wrapper
+	src        rand.PCG
 	lo         int
 	buf        [randBatch]core.Pair
 	pos        int
@@ -56,17 +59,28 @@ type Random struct {
 
 // NewRandom returns a uniform-random scheduler over n mobile agents,
 // seeded deterministically for reproducibility.
+// It panics when CheckPopulation rejects (n, withLeader).
 func NewRandom(n int, withLeader bool, seed int64) *Random {
-	if n < 1 || (n < 2 && !withLeader) {
-		panic(fmt.Sprintf("sched: population too small for interactions (n=%d, leader=%v)", n, withLeader))
+	if err := CheckPopulation(n, withLeader); err != nil {
+		panic(err.Error())
 	}
 	lo := 0
 	if withLeader {
 		lo = -1
 	}
-	s := &Random{n: n, withLeader: withLeader, src: rand.NewSource(seed).(rand.Source64), lo: lo}
+	s := &Random{n: n, withLeader: withLeader, src: prng.PCG(seed), lo: lo}
 	s.pos = len(s.buf) // force a refill on first Next
 	return s
+}
+
+// CheckPopulation reports whether a population of n mobile agents,
+// plus a leader when withLeader is set, has any pair of distinct agents
+// to schedule — the precondition of NewRandom and NewRoundRobin.
+func CheckPopulation(n int, withLeader bool) error {
+	if n < 1 || (n < 2 && !withLeader) {
+		return fmt.Errorf("sched: population too small for interactions (n=%d, leader=%v)", n, withLeader)
+	}
+	return nil
 }
 
 // Name implements Scheduler.
@@ -110,13 +124,13 @@ type RoundRobin struct {
 	pos   int
 }
 
-// NewRoundRobin returns a weakly fair deterministic scheduler.
+// NewRoundRobin returns a weakly fair deterministic scheduler. It
+// panics when CheckPopulation rejects (n, withLeader).
 func NewRoundRobin(n int, withLeader bool) *RoundRobin {
-	pairs := AllPairs(n, withLeader)
-	if len(pairs) == 0 {
-		panic("sched: no pairs available")
+	if err := CheckPopulation(n, withLeader); err != nil {
+		panic(err.Error())
 	}
-	return &RoundRobin{pairs: pairs}
+	return &RoundRobin{pairs: AllPairs(n, withLeader)}
 }
 
 // Name implements Scheduler.

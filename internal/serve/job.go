@@ -308,7 +308,7 @@ func prepare(spec Spec) (*validated, *Error) {
 	}
 	// The agent engine needs one slot per agent, bounding N by P. Count
 	// dynamics are defined for any N (naming is then unachievable when
-	// N > P — the large-N scaling regime); the count runner probe in
+	// N > P — the large-N scaling regime); sim.CheckCount in
 	// validateRun enforces the pair-weight overflow bound instead.
 	if sp.N > sp.P && sp.Engine != "count" {
 		return nil, badRequest("population size n %d outside [1,p=%d]", sp.N, sp.P)
@@ -329,12 +329,10 @@ func prepare(spec Spec) (*validated, *Error) {
 		return nil, badRequest("faults: %v", perr)
 	}
 	v.plan = plan
-	if !plan.Empty() {
-		// Capability check (e.g. a leader event against a leaderless
-		// protocol) with a throwaway injector, so workers cannot fail.
-		if _, err := fault.NewInjector(plan, v.proto, sp.Seed); err != nil {
-			return nil, badRequest("faults: %v", err)
-		}
+	// Capability check (e.g. a leader event against a leaderless
+	// protocol), so the workers' injectors cannot fail.
+	if err := fault.CheckPlan(plan, v.proto); err != nil {
+		return nil, badRequest("faults: %v", err)
 	}
 
 	switch sp.Kind {
@@ -363,6 +361,9 @@ func prepare(spec Spec) (*validated, *Error) {
 		if _, ok := v.proto.(core.ArbitraryInitProtocol); !ok {
 			return nil, badRequest("protocol %q does not support arbitrary initialization (campaign jobs need it)", sp.Protocol)
 		}
+		if err := checkScheduler(v.proto, sp.N, "random"); err != nil {
+			return nil, badRequest("%v", err)
+		}
 		if sp.Trials == 0 {
 			sp.Trials = 10
 		}
@@ -390,11 +391,12 @@ func prepare(spec Spec) (*validated, *Error) {
 	return v, nil
 }
 
-// validateRun checks the sim/batch sched/init keys by probing the
-// builders once, so the per-attempt builders on the worker cannot fail.
-// For count-engine jobs the probe is a throwaway CountRunner, which
-// also enforces the compiled-table state cap and the pair-weight
-// overflow bound on N.
+// validateRun checks the sim/batch sched/init keys against the
+// population, building nothing, so the per-attempt builders on the
+// worker cannot fail: sim.CheckStart for the init key, then
+// checkScheduler on the agent engine or sim.CheckCount on the count
+// engine, which enforces the compiled-table state cap and the
+// pair-weight overflow bound on N.
 func validateRun(v *validated) *Error {
 	sp := &v.spec
 	if sp.Sched == "" {
@@ -413,17 +415,16 @@ func validateRun(v *validated) *Error {
 				"arbitrary initialization draws an agent array; count-engine jobs take init zero | uniform")
 		}
 	}
-	t, err := sim.StartTrial(v.proto, sp.N, sp.Init, sp.Engine == "count", sp.Seed)
-	if err != nil {
+	if err := sim.CheckStart(v.proto, sp.Init, sp.Engine == "count"); err != nil {
 		return badRequest("%v", err)
 	}
-	if t.Count != nil {
-		if _, err := sim.NewCountRunner(v.proto, t.Count, sp.Seed); err != nil {
-			return badRequest("%v", err)
-		}
-		return nil
+	var err error
+	if sp.Engine == "count" {
+		err = sim.CheckCount(v.proto, sp.N)
+	} else {
+		err = checkScheduler(v.proto, sp.N, sp.Sched)
 	}
-	if _, err := buildScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {
+	if err != nil {
 		return badRequest("%v", err)
 	}
 	return nil

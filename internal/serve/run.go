@@ -13,27 +13,52 @@ import (
 	"popnaming/internal/sim"
 )
 
-// buildScheduler builds the agent engine's scheduler for a scheduler
-// key: the one table of scheduler keys. Eclipse, an attack-study
-// scheduler with knobs the job schema doesn't carry, is namesim's own
-// swap (see cmd/namesim). The per-trial scheduler seed is trialSeed+1,
-// matching the stabilization experiments, so a seeded service job
-// replays the equivalent direct run exactly.
-func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64) (sched.Scheduler, error) {
-	withLeader := core.HasLeader(proto)
-	switch schedKey {
-	case "random":
-		return sched.NewRandom(n, withLeader, seed), nil
-	case "roundrobin":
-		return sched.NewRoundRobin(n, withLeader), nil
-	case "matching":
+// schedulers is the agent engine's one table of scheduler keys. check
+// validates a population (n mobile agents, plus a leader when
+// withLeader is set) for the key without building anything; build
+// constructs the scheduler for a population check accepted. Eclipse, an
+// attack-study scheduler with knobs the job schema doesn't carry, is
+// namesim's own swap (see cmd/namesim).
+var schedulers = map[string]struct {
+	check func(n int, withLeader bool) error
+	build func(n int, withLeader bool, seed int64) sched.Scheduler
+}{
+	"random": {sched.CheckPopulation, func(n int, withLeader bool, seed int64) sched.Scheduler {
+		return sched.NewRandom(n, withLeader, seed)
+	}},
+	"roundrobin": {sched.CheckPopulation, func(n int, withLeader bool, _ int64) sched.Scheduler {
+		return sched.NewRoundRobin(n, withLeader)
+	}},
+	"matching": {func(n int, withLeader bool) error {
 		if withLeader {
-			return nil, fmt.Errorf("matching scheduler is leaderless only")
+			return fmt.Errorf("matching scheduler is leaderless only")
 		}
-		return sched.NewMatching(n), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", schedKey)
+		return sched.CheckMatching(n)
+	}, func(n int, _ bool, _ int64) sched.Scheduler {
+		return sched.NewMatching(n)
+	}},
+}
+
+// checkScheduler validates a scheduler key for proto over n mobile
+// agents without building a scheduler: the admission half of
+// buildScheduler.
+func checkScheduler(proto core.Protocol, n int, schedKey string) error {
+	s, ok := schedulers[schedKey]
+	if !ok {
+		return fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", schedKey)
 	}
+	return s.check(n, core.HasLeader(proto))
+}
+
+// buildScheduler builds the agent engine's scheduler for a scheduler
+// key, failing where checkScheduler does. The per-trial scheduler seed
+// is trialSeed+1, matching the stabilization experiments, so a seeded
+// service job replays the equivalent direct run exactly.
+func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64) (sched.Scheduler, error) {
+	if err := checkScheduler(proto, n, schedKey); err != nil {
+		return nil, err
+	}
+	return schedulers[schedKey].build(n, core.HasLeader(proto), seed), nil
 }
 
 // headerFor builds a validated spec's stream header under the given

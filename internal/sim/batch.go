@@ -65,7 +65,7 @@ type Executor interface {
 // observer tagged with the trial index, and so does the trial's fault
 // injector. Like NewRunner on a leader mismatch, it panics on a count
 // trial the count engine cannot run; admission validates those with
-// NewCountRunner.
+// CheckCount.
 func NewExecutor(pr core.Protocol, t Trial, tab *core.Compiled, bo BatchObs, trial int) Executor {
 	oo := obs.ObserverOptions{Sink: bo.Sink, ProgressEvery: bo.ProgressEvery, Trial: trial}
 	if t.Count != nil {

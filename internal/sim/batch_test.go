@@ -3,12 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 )
 
@@ -50,7 +50,7 @@ func TestRunBatchAllConverge(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			mk := engineTrial(engine, pr, 900, func(seed int64) *core.Config {
-				return ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				return ArbitraryConfig(pr, n, prng.New(seed))
 			})
 			sum := RunBatchSupervised(context.Background(), pr, trials, 4, Supervision{StepBudget: 10_000_000}, BatchObs{}, mk)
 			if len(sum.Results) != trials || sum.Converged != trials || sum.Aborted != 0 {
@@ -75,7 +75,7 @@ func TestRunBatchDeterministicPerTrial(t *testing.T) {
 	pr := naming.NewAsymmetric(n)
 	run := func(workers int) []int {
 		results := runBatch(pr, trials, 5_000_000, workers, func(trial int) Trial {
-			r := rand.New(rand.NewSource(int64(trial)))
+			r := prng.New(int64(trial))
 			return Trial{
 				Cfg:   ArbitraryConfig(pr, n, r),
 				Sched: sched.NewRandom(n, false, int64(trial)),
@@ -105,7 +105,7 @@ func TestRunBatchRangeMatchesFull(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			mk := engineTrial(engine, pr, 77, func(seed int64) *core.Config {
-				return ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				return ArbitraryConfig(pr, n, prng.New(seed))
 			})
 			run := func(lo, hi int) (BatchSummary, map[int][]byte) {
 				var buf bytes.Buffer
@@ -152,7 +152,7 @@ func TestRunBatchRace(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			mk := engineTrial(engine, pr, 5, func(seed int64) *core.Config {
-				return ArbitraryConfig(pr, 3, rand.New(rand.NewSource(seed)))
+				return ArbitraryConfig(pr, 3, prng.New(seed))
 			})
 			bo := BatchObs{Sink: &syncSink{}, ProgressEvery: 1000}
 			RunBatchSupervised(context.Background(), pr, 32, 16, Supervision{StepBudget: 100_000}, bo, mk)

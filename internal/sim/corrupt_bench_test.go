@@ -1,11 +1,11 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 )
 
 // BenchmarkCorrupt measures the adversarial-corruption primitive used by
@@ -15,7 +15,7 @@ import (
 func BenchmarkCorrupt(b *testing.B) {
 	const n, k = 1024, 32
 	pr := naming.NewSelfStab(n)
-	r := rand.New(rand.NewSource(9))
+	r := prng.New(9)
 	cfg := core.NewConfig(n, 0)
 	for i := range cfg.Mobile {
 		cfg.Mobile[i] = pr.RandomMobile(r)

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 )
 
 // The count-based (Gillespie) engine. Under the uniform random
@@ -34,18 +35,20 @@ import (
 // Two interchangeable samplers implement the c-proportional draw (see
 // CountSamplers); the benchmark-selected default is the Fenwick tree.
 
-// countRNG supplies unbiased bounded uniforms from a Source64. The
-// agent scheduler tolerates multiply-shift bias (a fairness statistic
-// cannot resolve span/2³²), but the count engine's collision and
-// staleness rejections compare against exact integer thresholds, so it
-// uses Lemire's debiased method: one multiply per draw, a second only
-// in the rare sliver where the low word forces the bias check.
+// countRNG supplies unbiased bounded uniforms from a PCG seeded
+// through prng.PCG and held by value (no allocation, direct calls), the
+// same generator the agent engine's sched.Random draws from. The agent
+// scheduler tolerates multiply-shift bias (a fairness statistic cannot
+// resolve span/2³²), but the count engine's collision and staleness
+// rejections compare against exact integer thresholds, so it uses
+// Lemire's debiased method: one multiply per draw, a second only in the
+// rare sliver where the low word forces the bias check.
 type countRNG struct {
-	src rand.Source64
+	src rand.PCG
 }
 
 func newCountRNG(seed int64) countRNG {
-	return countRNG{src: rand.NewSource(seed).(rand.Source64)}
+	return countRNG{src: prng.PCG(seed)}
 }
 
 // uint64n returns an unbiased uniform draw from [0, n). n must be > 0.
@@ -407,17 +410,6 @@ func newCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64, tab *cor
 	if core.HasLeader(p) != (cfg.Leader != nil) {
 		return nil, fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
 	}
-	if tab == nil {
-		if q := p.States(); q > maxCompiledStates {
-			return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
-		}
-		var err error
-		if tab, err = core.Compile(p); err != nil {
-			return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
-		}
-	} else if tab.Source() != p {
-		return nil, fmt.Errorf("sim: compiled table of %q used for a count runner of %q", tab.Name(), p.Name())
-	}
 	if len(cfg.Counts) != p.States() {
 		return nil, fmt.Errorf("sim: count configuration has %d states, protocol %q declares %d", len(cfg.Counts), p.Name(), p.States())
 	}
@@ -425,14 +417,40 @@ func newCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64, tab *cor
 		return nil, err
 	}
 	n := cfg.N()
-	if n < 2 && cfg.Leader == nil {
-		return nil, fmt.Errorf("sim: population too small for interactions (n=%d, no leader)", n)
+	if err := CheckCount(p, n); err != nil {
+		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("sim: population too small for interactions (n=%d)", n)
+	if tab == nil {
+		var err error
+		if tab, err = core.Compile(p); err != nil {
+			return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+		}
+	} else if tab.Source() != p {
+		return nil, fmt.Errorf("sim: compiled table of %q used for a count runner of %q", tab.Name(), p.Name())
 	}
 	lp, _ := p.(core.LeaderProtocol)
 	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n}, nil
+}
+
+// CheckCount reports whether the count engine can run protocol p over n
+// mobile agents, without building anything: p's state count is within
+// the compiled-table cap, the population has a pair to schedule, and
+// its total pair weight fits in uint64 (core.TotalPairWeight).
+// NewCountRunner enforces the same bounds; service admission calls
+// CheckCount instead of probing with a throwaway runner.
+func CheckCount(p core.Protocol, n int) error {
+	if q := p.States(); q > maxCompiledStates {
+		return fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
+	}
+	leader := core.HasLeader(p)
+	if n < 2 && !leader {
+		return fmt.Errorf("sim: population too small for interactions (n=%d, no leader)", n)
+	}
+	if n < 1 {
+		return fmt.Errorf("sim: population too small for interactions (n=%d)", n)
+	}
+	_, err := core.TotalPairWeight(n, leader)
+	return err
 }
 
 // Steps returns the number of interactions executed so far.

@@ -1,12 +1,12 @@
 package sim_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/experiments"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -28,7 +28,7 @@ func diffCase(t *testing.T, key string) (core.Protocol, int) {
 
 func diffStart(pr core.Protocol, n int, seed int64) *core.Config {
 	if ap, ok := pr.(core.ArbitraryInitProtocol); ok {
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed)))
+		return sim.ArbitraryConfig(ap, n, prng.New(seed))
 	}
 	return sim.UniformConfig(pr, n)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 )
 
@@ -38,7 +38,7 @@ func mustInjector(t testing.TB, plan *fault.Plan, pr core.Protocol, seed int64) 
 func TestResyncAfterExternalCorruption(t *testing.T) {
 	const n = 8
 	pr := naming.NewAsymmetric(n)
-	cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(11)))
+	cfg := ArbitraryConfig(pr, n, prng.New(11))
 	run := NewRunner(pr, sched.NewRandom(n, false, 11), cfg)
 	if !run.Compiled() {
 		t.Fatal("compiled engine unavailable")
@@ -154,7 +154,7 @@ func TestFaultCrashWedgesAndChurnRevives(t *testing.T) {
 func TestFaultStepTriggerDelaysConvergence(t *testing.T) {
 	const n = 6
 	pr := naming.NewAsymmetric(n)
-	cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(3)))
+	cfg := ArbitraryConfig(pr, n, prng.New(3))
 	run := NewRunner(pr, sched.NewRandom(n, false, 3), cfg)
 	inj := mustInjector(t, mustPlan(t, "@50000:corrupt=3"), pr, 3)
 	run.Inject = inj
@@ -178,7 +178,7 @@ func TestFaultStepTriggerDelaysConvergence(t *testing.T) {
 func TestFaultConvEpochs(t *testing.T) {
 	const n = 8
 	pr := naming.NewSelfStab(n)
-	cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(4)))
+	cfg := ArbitraryConfig(pr, n, prng.New(4))
 	run := NewRunner(pr, sched.NewRandom(n, true, 4), cfg)
 	inj := mustInjector(t, mustPlan(t, "@conv:corrupt=2,@conv:corrupt=2,@conv:leader=1"), pr, 4)
 	run.Inject = inj
@@ -305,7 +305,7 @@ func TestSuperviseOK(t *testing.T) {
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{StepBudget: 10_000_000}
 	sr := Supervise(context.Background(), sup, func(attempt int) Executor {
-		cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(7)))
+		cfg := ArbitraryConfig(pr, n, prng.New(7))
 		return NewRunner(pr, sched.NewRandom(n, false, 7), cfg)
 	})
 	if sr.Status != TrialOK || sr.Attempts != 1 || !sr.Converged {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"regexp"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 )
 
@@ -73,7 +73,7 @@ func TestJournalDeterministic(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			mk := engineTrial(engine, pr, 3, func(seed int64) *core.Config {
-				return ArbitraryConfig(pr, n, rand.New(rand.NewSource(seed)))
+				return ArbitraryConfig(pr, n, prng.New(seed))
 			})
 			journal := func() []byte {
 				var buf bytes.Buffer
@@ -123,7 +123,7 @@ func TestRunBatchObservedJournal(t *testing.T) {
 	sink := obs.NewJournalSink(&buf)
 	sup := Supervision{StepBudget: 50_000_000, Slice: 50_000_000}
 	sum := RunBatchSupervised(context.Background(), pr, trials, 4, sup, BatchObs{Sink: sink}, func(trial, attempt int) Trial {
-		r := rand.New(rand.NewSource(int64(trial)))
+		r := prng.New(int64(trial))
 		return Trial{
 			Cfg:   ArbitraryConfig(pr, n, r),
 			Sched: sched.NewRandom(n, true, int64(trial)),

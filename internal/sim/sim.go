@@ -17,12 +17,13 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/trace"
 )
@@ -479,14 +480,37 @@ func ArbitraryConfig(p core.ArbitraryInitProtocol, n int, r *rand.Rand) *core.Co
 	return c
 }
 
+// CheckStart reports whether StartTrial accepts an initialization key
+// for protocol p on the chosen engine, without building anything.
+func CheckStart(p core.Protocol, initKey string, count bool) error {
+	switch initKey {
+	case "zero", "uniform":
+		return nil
+	case "arbitrary":
+		if count {
+			return fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
+		}
+		if _, ok := p.(core.ArbitraryInitProtocol); !ok {
+			return fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
+		}
+		return nil
+	default:
+		return fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+	}
+}
+
 // StartTrial builds a trial's starting configuration for an
 // initialization key — the one table of init keys — on either engine:
 // an agent array (Trial.Cfg), or with count set a census (Trial.Count).
 // "zero" puts every agent in state 0 and "uniform" in the protocol's
 // uniform initial state (UniformConfig); both are exchangeable, so the
 // count engine represents them. "arbitrary" draws every state from
-// seed (ArbitraryConfig) and has no census.
+// prng.New(seed) (ArbitraryConfig) and has no census. Keys CheckStart
+// rejects fail with its error.
 func StartTrial(p core.Protocol, n int, initKey string, count bool, seed int64) (Trial, error) {
+	if err := CheckStart(p, initKey, count); err != nil {
+		return Trial{}, err
+	}
 	switch initKey {
 	case "zero":
 		if count {
@@ -507,17 +531,8 @@ func StartTrial(p core.Protocol, n int, initKey string, count bool, seed int64) 
 			return Trial{Count: UniformCountConfig(p, n)}, nil
 		}
 		return Trial{Cfg: UniformConfig(p, n)}, nil
-	case "arbitrary":
-		if count {
-			return Trial{}, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-		}
-		ap, ok := p.(core.ArbitraryInitProtocol)
-		if !ok {
-			return Trial{}, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
-		}
-		return Trial{Cfg: ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed)))}, nil
-	default:
-		return Trial{}, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+	default: // "arbitrary"
+		return Trial{Cfg: ArbitraryConfig(p.(core.ArbitraryInitProtocol), n, prng.New(seed))}, nil
 	}
 }
 
@@ -550,7 +565,7 @@ func Corrupt(p core.ArbitraryInitProtocol, c *core.Config, r *rand.Rand, k int, 
 		idx[i] = i
 	}
 	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
+		j := i + r.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 		c.Mobile[idx[i]] = p.RandomMobile(r)
 	}

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/trace"
 )
@@ -121,7 +121,7 @@ func TestUniformConfigHonorsProtocol(t *testing.T) {
 }
 
 func TestArbitraryConfigLeaderPolicy(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 
 	// Protocol 2 supports arbitrary leader states.
 	ss := naming.NewSelfStab(4)
@@ -156,7 +156,7 @@ func TestArbitraryConfigLeaderPolicy(t *testing.T) {
 }
 
 func TestArbitraryConfigCoversStateSpace(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
+	r := prng.New(2)
 	pr := naming.NewSymGlobal(3) // 4 states
 	seen := make(map[core.State]bool)
 	for i := 0; i < 200; i++ {
@@ -170,7 +170,7 @@ func TestArbitraryConfigCoversStateSpace(t *testing.T) {
 }
 
 func TestCorrupt(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
+	r := prng.New(3)
 	pr := naming.NewSelfStab(5)
 	cfg := UniformConfig(pr, 5)
 	orig := cfg.Clone()
@@ -187,7 +187,7 @@ func TestCorrupt(t *testing.T) {
 }
 
 func TestCorruptGuards(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
+	r := prng.New(4)
 	pr := naming.NewSelfStab(3)
 	cfg := UniformConfig(pr, 3)
 	func() {
@@ -214,7 +214,7 @@ func TestCorruptGuards(t *testing.T) {
 
 func TestQuietThresholdOverride(t *testing.T) {
 	pr := counting.New(4)
-	r := rand.New(rand.NewSource(5))
+	r := prng.New(5)
 	cfg := ArbitraryConfig(pr, 3, r)
 	run := NewRunner(pr, sched.NewRoundRobin(3, true), cfg)
 	run.QuietThreshold = 1 // aggressive silence checking still correct

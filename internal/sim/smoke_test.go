@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
 	"popnaming/internal/naming"
+	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 )
 
@@ -15,7 +15,7 @@ import (
 // Detailed per-protocol tests live in the protocol packages.
 func TestSmokeAllProtocolsConverge(t *testing.T) {
 	const p = 6
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 
 	cases := []struct {
 		name  string

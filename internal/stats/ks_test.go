@@ -2,8 +2,9 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"popnaming/internal/prng"
 )
 
 func TestKSDistanceIdentical(t *testing.T) {
@@ -73,7 +74,7 @@ func TestKSCritical(t *testing.T) {
 }
 
 func TestKSSameOnSampledData(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := prng.New(7)
 	a := make([]float64, 400)
 	b := make([]float64, 400)
 	c := make([]float64, 400)

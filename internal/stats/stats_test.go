@@ -2,9 +2,10 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"popnaming/internal/prng"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -129,7 +130,7 @@ func TestBetterFitDiscriminates(t *testing.T) {
 // TestFitWithNoise: parameters recovered within tolerance under mild
 // multiplicative noise.
 func TestFitWithNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	r := prng.New(1)
 	x := []float64{2, 4, 6, 8, 10, 12, 14, 16}
 	y := make([]float64, len(x))
 	for i, v := range x {
@@ -146,7 +147,7 @@ func TestFitWithNoise(t *testing.T) {
 
 // Property: Summarize is permutation-invariant and bounded by extremes.
 func TestSummarizeProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
+	r := prng.New(2)
 	prop := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
