@@ -2,7 +2,7 @@ GO ?= go
 
 # Engine microbenchmarks gating the compiled-engine performance claims
 # (see DESIGN.md "Performance" and EXPERIMENTS.md).
-ENGINE_BENCH = BenchmarkStepThroughput|BenchmarkSilenceCheck|BenchmarkRunConverge|BenchmarkBatchThroughput|BenchmarkConfigKey|BenchmarkConfigAppendKey|BenchmarkConfigMultisetKey|BenchmarkConfigAppendMultisetKey|BenchmarkCorrupt
+ENGINE_BENCH = BenchmarkStepThroughput|BenchmarkSilenceCheck|BenchmarkRunConverge|BenchmarkBatchThroughput|BenchmarkConfigKey|BenchmarkConfigAppendKey|BenchmarkConfigMultisetKey|BenchmarkConfigAppendMultisetKey|BenchmarkCorrupt|BenchmarkRunnerObsOverhead
 
 # Parallel search / exploration benchmarks gating the worker-pool
 # claims (see DESIGN.md "Parallel model checking" and EXPERIMENTS.md).

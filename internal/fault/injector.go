@@ -237,6 +237,12 @@ func (inj *Injector) Suppress(pair core.Pair) bool {
 	return pair.B >= 0 && inj.crashed[pair.B]
 }
 
+// Suppressing reports whether Suppress may drop an interaction: an
+// omission burst is pending or some agent is crashed. While it is false
+// Suppress drops nothing and changes nothing, so a runner may skip the
+// per-interaction query until the next event fires.
+func (inj *Injector) Suppressing() bool { return inj.omit > 0 || inj.ncrashed > 0 }
+
 // Crashed reports whether agent i is currently crashed.
 func (inj *Injector) Crashed(i int) bool {
 	return inj.crashed != nil && inj.crashed[i]

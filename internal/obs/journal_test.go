@@ -160,6 +160,6 @@ func TestNilJournalSink(t *testing.T) {
 	o := NewObserver(4, false, ObserverOptions{Sink: s, ProgressEvery: 1})
 	o.ObservePair(core.Pair{A: 0, B: 1}, true)
 	o.TrackCensus([]int{2, 2})
-	o.ObserveRule(0, 1, 1, 1, true)
+	o.ObserveMobile(core.Pair{A: 1, B: 2}, 0, 1, 1, 1, true)
 	o.Finish(true)
 }

@@ -6,10 +6,16 @@
 // quiet-streak statistics, scheduler pair-coverage/fairness-gap gauges,
 // periodic progress snapshots and a final summary record.
 //
-// The layer is stdlib-only and is designed around a guaranteed fast
-// path: a sim.Runner whose Obs field is nil pays exactly one nil check
-// per interaction and allocates nothing (see BenchmarkRunnerObsOverhead
-// in internal/sim). The journal schema is documented in
+// The engines' fused loops feed an Observer through a Chunk: the loop
+// keeps the interaction, non-null and quiet-streak counters in the
+// chunk and folds them into the Observer once per chunk — at every
+// progress boundary, at the end of each run call (a supervision slice)
+// and at silence. Observing a run thus adds a few plain counter and
+// table updates per interaction and no allocations; atomics are left
+// to the fold and to the end of each quiet streak (see
+// BenchmarkRunnerObsOverhead in internal/sim). The per-interaction
+// Observe* methods are one-interaction chunks, for the interpreted
+// path and the adversarial runner. The journal schema is documented in
 // docs/observability.md.
 //
 // # Concurrency
@@ -27,10 +33,16 @@
 // the writer has finished — sim.BatchSummary embeds a Histogram.
 //
 // Observer is single-writer: only the goroutine driving the run may
-// call its Observe*/Finish/Set* methods, and its map-backed rule
-// accounting and pair tracking are reader-unsafe while the run is
-// live. The one concurrent window into a live Observer is Snapshot,
-// which reads only the atomic counters and the quiet-streak histogram.
+// call its Begin/Observe*/Finish/Set* methods or use an open Chunk,
+// and its map-backed rule accounting and pair tracking are
+// reader-unsafe while the run is live. The one concurrent window into a
+// live Observer is Snapshot, which reads only the atomic counters and
+// the quiet-streak histogram. Those counters advance per chunk, not per
+// interaction: a live Snapshot trails the run by at most one
+// supervision slice (2¹⁵ interactions by default) or one progress
+// period, whichever is shorter, while completed quiet streaks reach
+// the histogram as they end, so a scrape may count a streak whose
+// interactions its step counter does not yet include.
 package obs
 
 import (
@@ -54,6 +66,9 @@ func (c *Counter) Add(d uint64) { atomic.AddUint64((*uint64)(c), d) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return atomic.LoadUint64((*uint64)(c)) }
+
+// store publishes a count its single writer kept elsewhere.
+func (c *Counter) store(v uint64) { atomic.StoreUint64((*uint64)(c), v) }
 
 // Gauge is a point-in-time float64 measurement, safe for concurrent
 // use (the value is stored as its IEEE-754 bits behind atomic

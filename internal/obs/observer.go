@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -36,14 +37,15 @@ type ObserverOptions struct {
 
 // Observer accumulates the metrics of one execution: interaction and
 // non-null counters, per-rule fire counts, quiet-streak statistics, and
-// scheduler pair-coverage/fairness gauges. It is fed by sim.Runner
-// through its Obs field (or by any driver via ObservePair) and is
+// scheduler pair-coverage/fairness gauges. The engines feed it through
+// their Obs fields, one Chunk per stretch of interactions (any other
+// driver can use the per-interaction Observe* methods), and it is
 // single-writer: only the goroutine driving the run may call its
 // mutating methods, and its rule map and pair tracking are unsafe to
 // read while the run is live. Batch runs give each trial its own
 // Observer sharing one concurrency-safe Sink. The one method safe to
 // call from another goroutine during a live run is Snapshot, which
-// reads only the atomically maintained counters.
+// reads only the atomically maintained counters, as of the last fold.
 type Observer struct {
 	sink          Sink
 	progressEvery uint64
@@ -52,6 +54,9 @@ type Observer struct {
 	lo, m         int
 	start         time.Time
 	finished      bool
+	// progressAt is the step of the last progress record (MaxUint64:
+	// none yet), so Finish does not repeat a periodic one.
+	progressAt uint64
 
 	steps   Counter
 	nonNull Counter
@@ -94,6 +99,8 @@ func NewObserver(n int, withLeader bool, opts ObserverOptions) *Observer {
 		m:     m,
 		start: time.Now(),
 		rules: make(map[RuleKey]uint64),
+
+		progressAt: math.MaxUint64,
 	}
 	if opts.ProgressEvery > 0 {
 		o.progressEvery = uint64(opts.ProgressEvery)
@@ -164,66 +171,154 @@ func (o *Observer) CompileRules(tab *core.Compiled) {
 	o.rulesDense = make([]uint64, tab.States()*tab.States())
 }
 
+// Chunk is the observer's accounting for a run of consecutive
+// interactions. A fused hot loop takes one with Begin, records each
+// interaction into it — Pair, then Rule or Fire when the interaction
+// changed states, then Step — and folds it back with Fold at the chunk
+// end. The interaction, non-null and quiet-streak counters live in the
+// chunk until the fold; rule counts, pair last-seen steps and completed
+// quiet streaks go straight to the observer. A chunk must end (fold)
+// no later than Room interactions after Begin, so that a progress
+// record falls on exactly its step, and nothing else may feed the
+// observer while a chunk is open. The per-interaction Observe* methods
+// are one-interaction chunks.
+type Chunk struct {
+	o       *Observer
+	steps   uint64
+	nonNull uint64
+	quiet   int64
+	// The observer's tables and pair indexing, copied for the hot loop.
+	dense    []uint64
+	lastSeen []int64 // nil when pair tracking is disabled
+	lo, m    int
+}
+
+// Begin opens a chunk at the observer's current counters.
+func (o *Observer) Begin() Chunk {
+	c := Chunk{
+		o:       o,
+		steps:   o.steps.Value(),
+		nonNull: o.nonNull.Value(),
+		quiet:   atomic.LoadInt64(&o.quiet),
+		dense:   o.rulesDense,
+		lo:      o.lo,
+		m:       o.m,
+	}
+	if o.pairTrack {
+		c.lastSeen = o.lastSeen
+	}
+	return c
+}
+
+// Room returns how many interactions, at most max, the chunk may
+// record before it must fold: up to the next progress boundary when
+// the observer journals periodic progress, max otherwise.
+func (c *Chunk) Room(max int) int {
+	k := c.o.progressEvery
+	if k == 0 || c.o.sink == nil {
+		return max
+	}
+	if r := k - c.steps%k; r < uint64(max) {
+		return int(r)
+	}
+	return max
+}
+
+// Pair records that p interacts at the current step (pair coverage and
+// fairness gap). Call it before Step.
+func (c *Chunk) Pair(p core.Pair) {
+	if c.lastSeen == nil {
+		return
+	}
+	idx := (p.A-c.lo)*c.m + (p.B - c.lo)
+	if idx >= 0 && idx < len(c.lastSeen) {
+		if c.lastSeen[idx] < 0 {
+			c.o.pairsSeen++
+		}
+		c.lastSeen[idx] = int64(c.steps)
+	}
+}
+
+// Rule records a firing of the mobile rule at compiled-table index idx
+// (x·|Q|+y). It requires CompileRules to have installed the table.
+func (c *Chunk) Rule(idx int) { c.dense[idx]++ }
+
+// Fire records a firing of a map-keyed rule: a leader rule, or a mobile
+// rule when no compiled table is installed.
+func (c *Chunk) Fire(k RuleKey) { c.o.rules[k]++ }
+
+// Step advances the interaction counters and the quiet streak,
+// recording a completed streak when a non-null interaction ends it.
+func (c *Chunk) Step(changed bool) {
+	c.steps++
+	if !changed {
+		c.quiet++
+		return
+	}
+	c.nonNull++
+	if c.quiet > 0 {
+		c.endStreak()
+	}
+}
+
+// endStreak records the completed quiet streak. It is kept out of line
+// so that Step stays within the inlining budget of the hot loops.
+//
+//go:noinline
+func (c *Chunk) endStreak() {
+	c.o.quietHist.Observe(c.quiet)
+	c.quiet = 0
+}
+
+// Fold closes the chunk: it publishes the counters to the observer
+// (atomically, for Snapshot) and emits the periodic progress record
+// when the chunk ended on a progress boundary.
+func (c *Chunk) Fold() {
+	o := c.o
+	o.steps.store(c.steps)
+	o.nonNull.store(c.nonNull)
+	atomic.StoreInt64(&o.quiet, c.quiet)
+	if o.progressEvery > 0 && o.sink != nil && c.steps%o.progressEvery == 0 {
+		o.emitProgress()
+	}
+}
+
 // ObserveMobile records a mobile-mobile interaction with its before and
 // after states.
 func (o *Observer) ObserveMobile(p core.Pair, x, y, x2, y2 core.State, changed bool) {
-	if changed {
-		if o.rulesDense != nil {
-			o.rulesDense[o.ruleTab.Idx(x, y)]++
-		} else {
-			o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]++
-		}
+	c := o.Begin()
+	c.Pair(p)
+	switch {
+	case !changed:
+	case c.dense != nil:
+		c.Rule(o.ruleTab.Idx(x, y))
+	default:
+		c.Fire(RuleKey{X: x, Y: y, X2: x2, Y2: y2})
 	}
-	o.ObservePair(p, changed)
+	c.Step(changed)
+	c.Fold()
 }
 
 // ObserveLeader records a leader-mobile interaction; x and x2 are the
 // mobile peer's before and after states.
 func (o *Observer) ObserveLeader(p core.Pair, x, x2 core.State, changed bool) {
+	c := o.Begin()
+	c.Pair(p)
 	if changed {
-		o.rules[RuleKey{Leader: true, X: x, X2: x2}]++
+		c.Fire(RuleKey{Leader: true, X: x, X2: x2})
 	}
-	o.ObservePair(p, changed)
+	c.Step(changed)
+	c.Fold()
 }
 
 // ObservePair records an interaction without state attribution (no
 // per-rule accounting), for drivers that only expose pair events, such
 // as the adversarial runner's OnStep hook.
 func (o *Observer) ObservePair(p core.Pair, changed bool) {
-	step := int64(o.steps.Value())
-	if o.pairTrack {
-		idx := (p.A-o.lo)*o.m + (p.B - o.lo)
-		if idx >= 0 && idx < len(o.lastSeen) {
-			if o.lastSeen[idx] < 0 {
-				o.pairsSeen++
-			}
-			o.lastSeen[idx] = step
-		}
-	}
-	o.observeStep(changed)
-}
-
-// ObserveRule records a mobile-mobile interaction by its states alone —
-// the count engine's identity-free analogue of ObserveMobile. It
-// requires CompileRules to have installed the dense rule table.
-func (o *Observer) ObserveRule(x, y, x2, y2 core.State, changed bool) {
-	if changed {
-		if o.rulesDense != nil {
-			o.rulesDense[o.ruleTab.Idx(x, y)]++
-		} else {
-			o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]++
-		}
-	}
-	o.observeStep(changed)
-}
-
-// ObserveLeaderRule records a leader-mobile interaction by the mobile
-// peer's before/after states — the identity-free ObserveLeader.
-func (o *Observer) ObserveLeaderRule(x, x2 core.State, changed bool) {
-	if changed {
-		o.rules[RuleKey{Leader: true, X: x, X2: x2}]++
-	}
-	o.observeStep(changed)
+	c := o.Begin()
+	c.Pair(p)
+	c.Step(changed)
+	c.Fold()
 }
 
 // TrackCensus attaches a live occupancy vector: every progress emission
@@ -232,28 +327,10 @@ func (o *Observer) ObserveLeaderRule(x, x2 core.State, changed bool) {
 // be the single goroutine driving the observer.
 func (o *Observer) TrackCensus(counts []int) { o.censusCounts = counts }
 
-// observeStep advances the interaction counters and quiet streak and
-// emits the periodic progress snapshot — the shared tail of every
-// Observe* method.
-func (o *Observer) observeStep(changed bool) {
-	o.steps.Inc()
-	if changed {
-		o.nonNull.Inc()
-		if q := atomic.LoadInt64(&o.quiet); q > 0 {
-			o.quietHist.Observe(q)
-			atomic.StoreInt64(&o.quiet, 0)
-		}
-	} else {
-		atomic.AddInt64(&o.quiet, 1)
-	}
-	if o.progressEvery > 0 && o.sink != nil && o.steps.Value()%o.progressEvery == 0 {
-		o.emitProgress()
-	}
-}
-
 // emitProgress emits a progress snapshot, followed by a census record
 // when a count-engine occupancy vector is attached.
 func (o *Observer) emitProgress() {
+	o.progressAt = o.steps.Value()
 	_ = o.sink.Emit(o.snapshot())
 	if o.censusCounts != nil {
 		counts := make([]int, len(o.censusCounts))
@@ -262,7 +339,7 @@ func (o *Observer) emitProgress() {
 			V:      Version,
 			Type:   "census",
 			Trial:  o.trial,
-			Step:   o.steps.Value(),
+			Step:   o.progressAt,
 			Counts: counts,
 		})
 	}
@@ -380,14 +457,15 @@ func (o *Observer) RuleCounts() []RuleCount {
 
 // Finish closes the run: it folds the trailing quiet streak into the
 // streak histogram and, when a sink is attached, emits a final progress
-// snapshot followed by the summary record. It is idempotent; sim.Runner
+// snapshot (unless a periodic one was already emitted at this step)
+// followed by the summary record. It is idempotent; sim.Runner
 // calls it automatically at the end of Run.
 func (o *Observer) Finish(converged bool) {
 	if o.finished {
 		return
 	}
 	o.finished = true
-	if o.sink != nil {
+	if o.sink != nil && o.progressAt != o.steps.Value() {
 		o.emitProgress()
 	}
 	if q := atomic.LoadInt64(&o.quiet); q > 0 {

@@ -376,10 +376,10 @@ type CountRunner struct {
 	// CountSamplers); empty or "auto" uses the benchmark default.
 	Sampler string
 
-	// Obs, when non-nil, receives per-rule accounting via the
-	// identity-free observe methods, periodic progress + census
-	// records, and the final summary. The runner wires CompileRules
-	// and TrackCensus itself.
+	// Obs, when non-nil, receives per-rule accounting, periodic
+	// progress + census records, and the final summary. The run loop
+	// feeds it through an obs.Chunk folded once per progress period
+	// (or slice); the runner wires CompileRules and TrackCensus itself.
 	Obs *obs.Observer
 
 	tab    *core.Compiled
@@ -511,8 +511,9 @@ func (r *CountRunner) quietThreshold() int {
 	return t
 }
 
-// step executes one interaction and reports whether it was non-null.
-func (r *CountRunner) step() bool {
+// step executes one interaction and reports whether it was non-null,
+// recording it into oc when the run is observed (oc non-nil).
+func (r *CountRunner) step(oc *obs.Chunk) bool {
 	// With a leader, a uniformly random ordered pair of the N+1
 	// entities involves the leader with probability 2N/((N+1)N) =
 	// 2/(N+1); the mobile peer is uniform over the N agents, i.e. its
@@ -528,14 +529,15 @@ func (r *CountRunner) step() bool {
 			r.smp.sync(x)
 			r.smp.sync(x2)
 		}
-		if r.Obs != nil {
-			r.Obs.ObserveLeaderRule(x, x2, changed)
+		if oc != nil && changed {
+			oc.Fire(obs.RuleKey{Leader: true, X: x, X2: x2})
 		}
 		return changed
 	}
 	p := r.smp.draw(&r.rng)
 	q := r.drawResponder(p)
-	p2, q2 := r.tab.At(r.tab.Idx(p, q))
+	idx := r.tab.Idx(p, q)
+	p2, q2 := r.tab.At(idx)
 	changed := p2 != p || q2 != q
 	if changed {
 		r.census.Apply(p, q, p2, q2)
@@ -543,9 +545,9 @@ func (r *CountRunner) step() bool {
 		r.smp.sync(q)
 		r.smp.sync(p2)
 		r.smp.sync(q2)
-	}
-	if r.Obs != nil {
-		r.Obs.ObserveRule(p, q, p2, q2, changed)
+		if oc != nil {
+			oc.Rule(idx)
+		}
 	}
 	return changed
 }
@@ -592,20 +594,42 @@ func (r *CountRunner) run(maxSteps int) Result {
 		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 	}
 	threshold := r.quietThreshold()
-	for r.steps < maxSteps {
-		changed := r.step()
-		r.steps++
-		if changed {
-			r.nonNull++
-			r.quiet = 0
-		} else {
-			r.quiet++
-			if r.quiet%threshold == 0 && r.silent() {
-				return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
+	var (
+		chunk  obs.Chunk
+		oc     *obs.Chunk // &chunk when observed; it folds at progress boundaries, maxSteps and silence
+		silent bool
+	)
+	if r.Obs != nil {
+		oc = &chunk
+	}
+	for r.steps < maxSteps && !silent {
+		end := maxSteps
+		if oc != nil {
+			*oc = r.Obs.Begin()
+			end = r.steps + oc.Room(maxSteps-r.steps)
+		}
+		for r.steps < end {
+			changed := r.step(oc)
+			if oc != nil {
+				oc.Step(changed)
+			}
+			r.steps++
+			if changed {
+				r.nonNull++
+				r.quiet = 0
+			} else {
+				r.quiet++
+				if r.quiet%threshold == 0 && r.silent() {
+					silent = true
+					break
+				}
 			}
 		}
+		if oc != nil {
+			oc.Fold()
+		}
 	}
-	return Result{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
+	return Result{Converged: silent || r.silent(), Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 }
 
 // Observer returns the attached observer (nil when unobserved).

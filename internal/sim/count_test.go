@@ -212,7 +212,7 @@ func TestCountRunnerConservesN(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20000; i++ {
-		r.step()
+		r.step(nil)
 		if i%1000 == 0 && cc.N() != 1000 {
 			t.Fatalf("step %d: population drifted to %d", i, cc.N())
 		}

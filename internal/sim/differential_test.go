@@ -1,11 +1,16 @@
 package sim_test
 
 import (
+	"bytes"
+	"context"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/experiments"
+	"popnaming/internal/fault"
+	"popnaming/internal/obs"
 	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -112,19 +117,94 @@ func TestCompiledRunMatchesInterpretedRun(t *testing.T) {
 	}
 }
 
-// TestRunCompiledExplicit exercises the exported fused-loop entry point
-// directly and checks it against the interpreted reference.
+// TestRunCompiledExplicit checks that Run on a compiled runner with a
+// random scheduler — the fused loop — matches the interpreted
+// reference, observed or not.
 func TestRunCompiledExplicit(t *testing.T) {
 	const seed, budget = 31415, 400000
 	pr, n := diffCase(t, "selfstab")
 
-	comp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
-	interp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
-	interp.Interpret = true
+	for _, observed := range []bool{false, true} {
+		comp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
+		interp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
+		interp.Interpret = true
+		if observed {
+			comp.Obs = obs.NewObserver(n, true, obs.ObserverOptions{})
+		}
+		if !comp.Compiled() {
+			t.Fatal("selfstab did not compile")
+		}
 
-	got := comp.RunCompiled(budget)
-	want := interp.Run(budget)
-	if got.Converged != want.Converged || got.Steps != want.Steps || got.NonNull != want.NonNull {
-		t.Fatalf("RunCompiled diverged from interpreted Run:\n  compiled    %v\n  interpreted %v", got, want)
+		got := comp.Run(budget)
+		want := interp.Run(budget)
+		if got.Converged != want.Converged || got.Steps != want.Steps || got.NonNull != want.NonNull {
+			t.Fatalf("observed=%v: compiled Run diverged from interpreted Run:\n  compiled    %v\n  interpreted %v", observed, got, want)
+		}
+	}
+}
+
+// wallClock matches the journal's wall-clock fields, the only bytes two
+// runs of one seed may differ in.
+var wallClock = regexp.MustCompile(`"(elapsedNs|wallNs|utilization)":[0-9.e+-]+`)
+
+// TestCompiledJournalMatchesInterpreted checks the observed fused loop
+// at journal level: for every registry protocol and fault plan, a
+// supervised compiled run journals the same bytes, wall-clock fields
+// aside, as the interpreted reference. The progress period 997 divides
+// neither the 5000-interaction supervision slice nor the plans' trigger
+// steps, so chunks end at progress boundaries, slice ends, step
+// triggers and silence, and the crash and omission plans run through
+// the per-interaction suppressing window.
+func TestCompiledJournalMatchesInterpreted(t *testing.T) {
+	const seed, budget = 4242, 150_000
+	plans := []string{"", "@conv:corrupt=2", "@500:crash=1", "@300:omit=50"}
+	for _, key := range experiments.RegistryKeys() {
+		for _, spec := range plans {
+			key, spec := key, spec
+			t.Run(key+"/"+spec, func(t *testing.T) {
+				pr, n := diffCase(t, key)
+				plan, err := fault.Parse(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fault.CheckPlan(plan, pr); err != nil {
+					t.Skip(err)
+				}
+				journal := func(interpret bool) ([]byte, sim.SupervisedResult) {
+					var buf bytes.Buffer
+					sink := obs.NewJournalSink(&buf)
+					res := sim.Supervise(context.Background(), sim.Supervision{StepBudget: budget, Slice: 5000, Sink: sink}, func(int) sim.Executor {
+						withLeader := core.HasLeader(pr)
+						r := sim.NewRunner(pr, sched.NewRandom(n, withLeader, seed), diffStart(pr, n, seed))
+						r.Interpret = interpret
+						r.Obs = obs.NewObserver(n, withLeader, obs.ObserverOptions{Sink: sink, ProgressEvery: 997})
+						if !plan.Empty() {
+							inj, err := fault.NewInjector(plan, pr, seed)
+							if err != nil {
+								t.Fatal(err)
+							}
+							inj.Sink = sink
+							r.Inject = inj
+						}
+						if r.Compiled() == interpret {
+							t.Fatalf("Interpret=%v but Compiled()=%v", interpret, r.Compiled())
+						}
+						return r
+					})
+					if err := sink.Err(); err != nil {
+						t.Fatal(err)
+					}
+					return wallClock.ReplaceAll(buf.Bytes(), []byte(`"wall":0`)), res
+				}
+				got, gres := journal(false)
+				want, wres := journal(true)
+				if gres.Result.Steps != wres.Result.Steps || gres.Converged != wres.Converged {
+					t.Fatalf("results diverged: compiled %v, interpreted %v", gres.Result, wres.Result)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("journals differ:\n--- compiled ---\n%s\n--- interpreted ---\n%s", got, want)
+				}
+			})
+		}
 	}
 }

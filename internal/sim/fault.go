@@ -29,15 +29,16 @@ func (r *Runner) Resync() {
 	}
 }
 
-// runFault is the injector-aware run loop. It mirrors the generic loop
-// in run — same silence-check points, same counter semantics — with
-// three insertions: due step-triggered events fire before the
+// runFault is the injector-aware run loop. It runs the same loop as
+// run — advance, with the same silence-check points and counter
+// semantics — in stretches that end at the next step-triggered event,
+// with three insertions: due step-triggered events fire before the
 // interaction that crosses them, each successful silence check offers
 // the injector a convergence trigger (the run only returns converged
 // once no conv event is pending), and every mutating event resyncs the
-// census. It never uses the fused loop: fault runs trade the last ~20%
-// of step throughput for injection points, and the nil-injector path is
-// untouched.
+// census. Inside an omission burst or while agents are crashed the
+// injector may drop interactions, so there it steps one interaction at
+// a time through stepFault; everywhere else it takes the fused loop.
 func (r *Runner) runFault(maxSteps int) Result {
 	inj := r.Inject
 	if inj.FireDue(int64(r.steps), r.Cfg) {
@@ -51,13 +52,25 @@ func (r *Runner) runFault(maxSteps int) Result {
 	}
 	threshold := r.quietThreshold()
 	for r.steps < maxSteps {
-		if next := inj.NextStep(); next >= 0 && int64(r.steps) >= next {
+		next := inj.NextStep()
+		if next >= 0 && int64(r.steps) >= next {
 			if inj.FireDue(int64(r.steps), r.Cfg) {
 				r.Resync()
 			}
+			next = inj.NextStep()
 		}
-		r.stepFault(inj)
-		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() {
+		var silent bool
+		if inj.Suppressing() {
+			r.stepFault(inj)
+			silent = r.quiet > 0 && r.quiet%threshold == 0 && r.silent()
+		} else {
+			bound := maxSteps
+			if next >= 0 && next < int64(bound) {
+				bound = int(next)
+			}
+			silent = r.advance(bound)
+		}
+		if silent {
 			// Silence is only terminal once the whole plan has fired:
 			// a silent population still interacts (nullly), so pending
 			// step-triggered events still happen — the run idles

@@ -4,48 +4,58 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
-	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 	"popnaming/internal/sched"
 )
 
-// BenchmarkRunnerObsOverhead measures the cost of the observability
-// hook on the engine's hot path. "disabled" is the production fast path
-// (Obs == nil): it must report 0 allocs/op and stay within 5% of the
-// seed Runner.Run throughput (compare BenchmarkStepThroughput at the
-// repo root). "observer" attaches a metrics-only observer and
-// "observer+journal" additionally journals to a discarding sink,
-// quantifying the price of full observability.
+// BenchmarkRunnerObsOverhead measures what observability costs a run on
+// the path batch and serve trials take: one Run over b.N interactions
+// of a never-silent population (64 agents of the 8-state churn
+// protocol, about 7/8 of interactions null), on each engine.
+// "disabled" runs unobserved and must report 0 allocs/op; "observer"
+// attaches a metrics-only observer and "observer+journal" additionally
+// journals progress every 4096 interactions to a discarding sink, so
+// the fused loop folds the observer's counters once per chunk.
 func BenchmarkRunnerObsOverhead(b *testing.B) {
 	const n = 64
-	pr := naming.NewAsymmetric(n)
-	mk := func() *Runner {
-		return NewRunner(pr, sched.NewRandom(n, false, 1), core.NewConfig(n, 0))
+	pr := churnProto(8)
+	observers := []struct {
+		name string
+		mk   func() *obs.Observer
+	}{
+		{"disabled", func() *obs.Observer { return nil }},
+		{"observer", func() *obs.Observer { return obs.NewObserver(n, false, obs.ObserverOptions{}) }},
+		{"observer+journal", func() *obs.Observer {
+			return obs.NewObserver(n, false, obs.ObserverOptions{Sink: obs.Discard, ProgressEvery: 4096})
+		}},
 	}
-	b.Run("disabled", func(b *testing.B) {
-		run := mk()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run.Step()
-		}
-	})
-	b.Run("observer", func(b *testing.B) {
-		run := mk()
-		run.Obs = obs.NewObserver(n, false, obs.ObserverOptions{})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run.Step()
-		}
-	})
-	b.Run("observer+journal", func(b *testing.B) {
-		run := mk()
-		run.Obs = obs.NewObserver(n, false, obs.ObserverOptions{Sink: obs.Discard, ProgressEvery: 4096})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run.Step()
-		}
-	})
+	for _, ob := range observers {
+		b.Run("agent/"+ob.name, func(b *testing.B) {
+			run := NewRunner(pr, sched.NewRandom(n, false, 1), core.NewConfig(n, 0))
+			run.Obs = ob.mk()
+			if !run.Compiled() {
+				b.Fatal("compiled engine unavailable")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if res := run.Run(b.N); res.Steps != b.N {
+				b.Fatalf("ran %d of %d interactions", res.Steps, b.N)
+			}
+		})
+		b.Run("count/"+ob.name, func(b *testing.B) {
+			cc := core.NewCountConfig(8)
+			cc.Counts[0] = n
+			run, err := NewCountRunner(pr, cc, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run.Obs = ob.mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			res, err := run.Run(b.N)
+			if err != nil || res.Steps != b.N {
+				b.Fatalf("ran %d of %d interactions (%v)", res.Steps, b.N, err)
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -210,5 +211,122 @@ func TestRunnerFastPathNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() { run.Step() })
 	if allocs != 0 {
 		t.Fatalf("fast path allocates %v per step, want 0", allocs)
+	}
+}
+
+// churnExecutor builds a never-silent observed executor on either
+// engine: 64 agents of the 8-state churn protocol (every same-state
+// meeting changes a state, so silence is unreachable), observed by o.
+func churnExecutor(t testing.TB, engine string, o *obs.Observer) Executor {
+	t.Helper()
+	const n = 64
+	pr := churnProto(8)
+	if engine == "count" {
+		cc := core.NewCountConfig(8)
+		cc.Counts[0] = n
+		r, err := NewCountRunner(pr, cc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Obs = o
+		if err := r.ensure(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := NewRunner(pr, sched.NewRandom(n, false, 1), core.NewConfig(n, 0))
+	r.Obs = o
+	if !r.Compiled() {
+		t.Fatal("compiled engine unavailable")
+	}
+	return r
+}
+
+// TestProgressRecordsPerPeriod: a run that ends exactly on a progress
+// boundary journals one progress record (and, on the count engine, one
+// census record) per period — Finish does not repeat the last one.
+func TestProgressRecordsPerPeriod(t *testing.T) {
+	const k, budget = 1000, 3000
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			sink := &syncSink{}
+			o := obs.NewObserver(64, false, obs.ObserverOptions{Sink: sink, ProgressEvery: k, NoPairs: engine == "count"})
+			ex := churnExecutor(t, engine, o)
+			if res := ex.run(budget); res.Steps != budget || res.Converged {
+				t.Fatalf("result %v, want %d steps unconverged", res, budget)
+			}
+			ex.finish(false)
+			var progress, census []uint64
+			for _, rec := range sink.take() {
+				switch rec := rec.(type) {
+				case obs.Progress:
+					progress = append(progress, rec.Step)
+				case obs.CensusRec:
+					census = append(census, rec.Step)
+				}
+			}
+			want := []uint64{1000, 2000, 3000}
+			if !reflect.DeepEqual(progress, want) {
+				t.Fatalf("progress records at steps %v, want %v", progress, want)
+			}
+			if engine == "count" && !reflect.DeepEqual(census, want) {
+				t.Fatalf("census records at steps %v, want %v", census, want)
+			}
+		})
+	}
+}
+
+// TestSnapshotDuringFusedRun scrapes an observer from another goroutine
+// while a supervised fused run feeds it, on each engine: the steps it
+// reads never decrease and end at the result's step count. The race
+// detector (make race-fault) checks the fold's atomic publication.
+func TestSnapshotDuringFusedRun(t *testing.T) {
+	const budget = 1 << 20
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			o := obs.NewObserver(64, false, obs.ObserverOptions{NoPairs: engine == "count"})
+			done := make(chan struct{})
+			last := make(chan uint64)
+			go func() {
+				var prev uint64
+				for {
+					select {
+					case <-done:
+						last <- o.Snapshot().Steps
+						return
+					default:
+					}
+					s := o.Snapshot().Steps
+					if s < prev {
+						t.Errorf("snapshot steps went back from %d to %d", prev, s)
+					}
+					prev = s
+				}
+			}()
+			res := Supervise(context.Background(), Supervision{StepBudget: budget}, func(int) Executor {
+				return churnExecutor(t, engine, o)
+			})
+			close(done)
+			if got := <-last; got != uint64(res.Steps) || res.Steps != budget {
+				t.Fatalf("final snapshot %d steps, result %d, budget %d", got, res.Steps, budget)
+			}
+		})
+	}
+}
+
+// TestObservedRunNoAllocs pins the observed fused loop's cost between
+// progress boundaries: running it allocates nothing on either engine.
+func TestObservedRunNoAllocs(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			o := obs.NewObserver(64, false, obs.ObserverOptions{Sink: obs.Discard, ProgressEvery: 1 << 30, NoPairs: engine == "count"})
+			ex := churnExecutor(t, engine, o)
+			allocs := testing.AllocsPerRun(50, func() {
+				ex.run(ex.snapshot().Steps + 1000)
+			})
+			if allocs != 0 {
+				t.Fatalf("observed run allocates %v per 1000 interactions, want 0", allocs)
+			}
+		})
 	}
 }

@@ -8,11 +8,12 @@
 // The runner executes through a compiled engine whenever it can (see
 // core.Compile): mobile-mobile transitions become two array loads, a
 // per-state census turns the mobile side of convergence detection into
-// an O(1) counter test, and Run fuses scheduler, table lookup and
-// census update into one allocation-free loop. Protocols that fail to
-// compile, oversized state spaces and explicitly interpreted runners
-// fall back to the original interface-dispatch path; the two paths are
-// step-for-step equivalent (see TestCompiledMatchesInterpreted).
+// an O(1) counter test, and Run fuses scheduler, table lookup, census
+// update and observer accounting into one allocation-free loop.
+// Protocols that fail to compile, oversized state spaces and explicitly
+// interpreted runners fall back to the original interface-dispatch
+// path; the two paths are step-for-step equivalent (see
+// TestCompiledMatchesInterpreted).
 package sim
 
 import (
@@ -107,9 +108,12 @@ type Runner struct {
 
 	// Obs, when non-nil, receives every interaction together with the
 	// before/after states (per-rule accounting), periodic progress
-	// snapshots, and the final summary at the end of Run. When nil the
-	// runner takes a fast path that adds one branch and no allocations
-	// per step (see BenchmarkRunnerObsOverhead).
+	// snapshots, and the final summary at the end of Run. Run feeds it
+	// from the fused loop through an obs.Chunk, folding the counters
+	// once per progress period or run call (live Snapshot counters
+	// trail by at most that much); Step and the interpreted path feed
+	// it one interaction at a time. Observed or not, Run allocates
+	// nothing per interaction (see BenchmarkRunnerObsOverhead).
 	Obs *obs.Observer
 
 	// Interpret forces the interface-dispatch path, disabling the
@@ -363,87 +367,109 @@ func (r *Runner) run(maxSteps int) Result {
 	if r.silent() {
 		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
 	}
-	if r.tab != nil && r.rnd != nil && r.Obs == nil && r.OnStep == nil {
-		return r.runCompiled(maxSteps)
+	converged := r.advance(maxSteps) || r.silent()
+	return Result{Converged: converged, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+}
+
+// advance executes interactions until bound interactions have run in
+// total or a silence check — made whenever the quiet streak completes a
+// full QuietThreshold window — succeeds, which it reports. It takes the
+// fused loop whenever the runner is compiled over a random scheduler
+// without an OnStep hook, and steps one interaction at a time
+// otherwise.
+func (r *Runner) advance(bound int) bool {
+	if r.tab != nil && r.rnd != nil && r.OnStep == nil {
+		return r.runCompiled(bound)
 	}
 	threshold := r.quietThreshold()
-	for r.steps < maxSteps {
+	for r.steps < bound {
 		r.Step()
 		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() {
-			return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+			return true
 		}
 	}
-	return Result{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	return false
 }
 
-// RunCompiled is Run restricted to the fused fast loop: scheduler draw,
-// table lookup and census update in one allocation-free loop with the
-// counters kept in registers. It requires the compiled engine, a
-// *sched.Random scheduler and no observers, and panics otherwise (use
-// Run, which selects it automatically when eligible).
-func (r *Runner) RunCompiled(maxSteps int) Result {
-	r.ensureEngine()
-	if r.tab == nil || r.rnd == nil || r.Obs != nil || r.OnStep != nil {
-		panic("sim: RunCompiled requires the compiled engine, a random scheduler and no observers")
-	}
-	if r.silent() {
-		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
-	}
-	return r.runCompiled(maxSteps)
-}
-
-// runCompiled is the fused hot loop. It must preserve the exact control
-// flow of the generic path — same silence-check points, same counter
+// runCompiled is the fused hot loop: scheduler draw, table lookup and
+// census update in one allocation-free loop with the counters kept in
+// locals, observed or not. It must preserve the exact control flow of
+// the per-step path — same silence-check points, same counter
 // semantics — so that compiled and interpreted runs of one seed yield
-// identical Results (the differential tests assert this).
-func (r *Runner) runCompiled(maxSteps int) Result {
+// identical Results and journals (the differential tests assert this).
+// An attached observer is fed through an obs.Chunk that folds at every
+// progress boundary, at bound and at silence.
+func (r *Runner) runCompiled(bound int) bool {
 	var (
 		threshold = r.quietThreshold()
 		tab       = r.tab
 		cs        = r.census
 		rnd       = r.rnd
 		m         = r.Cfg.Mobile
+		o         = r.Obs
+		oc        obs.Chunk
 		steps     = r.steps
 		nonNull   = r.nonNull
 		quiet     = r.quiet
-		converged = false
+		silent    = false
 	)
-	for steps < maxSteps {
-		pair := rnd.Next()
-		var changed bool
-		if pair.A >= 0 && pair.B >= 0 {
-			x, y := m[pair.A], m[pair.B]
-			idx := tab.Idx(x, y)
-			x2, y2 := tab.At(idx)
-			if changed = x2 != x || y2 != y; changed {
-				m[pair.A], m[pair.B] = x2, y2
-				cs.Apply(x, y, x2, y2)
+	if o != nil {
+		o.CompileRules(tab)
+	}
+	for steps < bound && !silent {
+		end := bound
+		if o != nil {
+			oc = o.Begin()
+			end = steps + oc.Room(bound-steps)
+		}
+		for steps < end {
+			pair := rnd.Next()
+			var changed bool
+			if pair.A >= 0 && pair.B >= 0 {
+				x, y := m[pair.A], m[pair.B]
+				idx := tab.Idx(x, y)
+				x2, y2 := tab.At(idx)
+				if changed = x2 != x || y2 != y; changed {
+					m[pair.A], m[pair.B] = x2, y2
+					cs.Apply(x, y, x2, y2)
+					if o != nil {
+						oc.Rule(idx)
+					}
+				}
+			} else {
+				j := pair.MobilePeer()
+				x := m[j]
+				changed = core.ApplyLeader(r.lp, r.Cfg, j)
+				x2 := m[j]
+				if x2 != x {
+					cs.ApplyOne(x, x2)
+				}
+				if o != nil && changed {
+					oc.Fire(obs.RuleKey{Leader: true, X: x, X2: x2})
+				}
 			}
-		} else {
-			j := pair.MobilePeer()
-			x := r.Cfg.Mobile[j]
-			changed = core.ApplyLeader(r.lp, r.Cfg, j)
-			if x2 := r.Cfg.Mobile[j]; x2 != x {
-				cs.ApplyOne(x, x2)
+			if o != nil {
+				oc.Pair(pair)
+				oc.Step(changed)
+			}
+			steps++
+			if changed {
+				nonNull++
+				quiet = 0
+			} else {
+				quiet++
+				if quiet%threshold == 0 && cs.Silent(r.Cfg.Leader) {
+					silent = true
+					break
+				}
 			}
 		}
-		steps++
-		if changed {
-			nonNull++
-			quiet = 0
-		} else {
-			quiet++
-			if quiet%threshold == 0 && cs.Silent(r.Cfg.Leader) {
-				converged = true
-				break
-			}
+		if o != nil {
+			oc.Fold()
 		}
 	}
 	r.steps, r.nonNull, r.quiet = steps, nonNull, quiet
-	if !converged {
-		converged = r.silent()
-	}
-	return Result{Converged: converged, Steps: steps, NonNull: nonNull, Final: r.Cfg}
+	return silent
 }
 
 // UniformConfig builds the protocol's intended starting configuration
