@@ -23,7 +23,9 @@
 // (nodes/sec, BFS depth, intern hit rate, shard balance), -metrics
 // prints the stage timings as a table, and -pprof captures CPU/heap
 // profiles. -workers parallelizes the graph build; the graph (and
-// every verdict) is identical at any worker count.
+// every verdict) is identical at any worker count. Without -metrics,
+// stdout carries no wall-clock value, so it is byte-identical across
+// runs and worker counts; throughput lives in the journal.
 package main
 
 import (
@@ -39,7 +41,6 @@ import (
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 	"popnaming/internal/report"
-	"popnaming/internal/seq"
 )
 
 func main() {
@@ -158,8 +159,8 @@ func run(protoKey string, p, n, maxNodes, workers int, exact, allLeaders bool, j
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reachable state space: %d configurations, %d transitions (depth %d, %.0f nodes/s, intern hit rate %.3f)\n",
-		g.Size(), g.EdgeCount(), g.Stats.Depth, g.Stats.NodesPerSec(), g.Stats.HitRate())
+	fmt.Printf("reachable state space: %d configurations, %d transitions (depth %d, intern hit rate %.3f)\n",
+		g.Size(), g.EdgeCount(), g.Stats.Depth, g.Stats.HitRate())
 	if st.sink != nil {
 		rec := obs.NewExploreRec(proto.Name(), n)
 		rec.Workers = g.Stats.Workers
@@ -208,10 +209,7 @@ func run(protoKey string, p, n, maxNodes, workers int, exact, allLeaders bool, j
 			}
 			worst := chain.MaxExpected()
 			fmt.Printf("exact E[interactions] worst-case start: %.3f\n", worst)
-			zero := core.NewConfig(n, 0)
-			if lp, ok := proto.(core.LeaderProtocol); ok {
-				zero.Leader = lp.InitLeader()
-			}
+			zero := core.NewConfig(n, 0).WithLeader(core.InitialLeader(proto))
 			if e, zerr := chain.ExpectedSteps(zero); zerr == nil {
 				fmt.Printf("exact E[interactions] from all-zero start: %.3f\n", e)
 			}
@@ -233,50 +231,20 @@ func run(protoKey string, p, n, maxNodes, workers int, exact, allLeaders bool, j
 // get the initialized leader, or — with allLeaders, for Protocol 2 —
 // every leader state in the declared domain.
 func buildStarts(proto core.Protocol, n int, allLeaders bool) ([]*core.Config, error) {
-	q := proto.States()
 	total := 1
 	for i := 0; i < n; i++ {
-		total *= q
+		total *= proto.States()
 	}
 	if total > 1<<20 {
 		return nil, fmt.Errorf("start set of %d configurations too large", total)
 	}
-	var leaders []core.LeaderState
-	switch lp := proto.(type) {
-	case *naming.SelfStab:
-		if allLeaders {
-			for nn := 0; nn <= lp.P()+1; nn++ {
-				for k := 0; k <= seq.Len(lp.P())+1; k++ {
-					leaders = append(leaders, naming.ResetBST{N: nn, K: k})
-				}
-			}
-		} else {
-			leaders = append(leaders, lp.InitLeader())
-		}
-	case core.LeaderProtocol:
-		if allLeaders {
+	leaders := []core.Leader{core.InitialLeader(proto)}
+	if allLeaders {
+		ss, ok := proto.(*naming.SelfStab)
+		if !ok {
 			return nil, fmt.Errorf("-allleaders is only supported for the selfstab protocol")
 		}
-		leaders = append(leaders, lp.InitLeader())
-	default:
-		leaders = append(leaders, nil)
+		leaders = ss.Leaders()
 	}
-
-	var out []*core.Config
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		for _, l := range leaders {
-			cfg := core.NewConfigStates(states...)
-			if l != nil {
-				cfg.Leader = l.Clone()
-			}
-			out = append(out, cfg)
-		}
-	}
-	return out, nil
+	return explore.AllConfigs(proto.States(), n, leaders...), nil
 }

@@ -179,7 +179,7 @@ func (cs *Census) remove(s State) {
 // LeaderSilent reports whether every leader-mobile interaction from
 // leader state l is null, scanning only the ≤ |Q| occupied states
 // instead of all n agents.
-func (cs *Census) LeaderSilent(l LeaderState) bool {
+func (cs *Census) LeaderSilent(l Leader) bool {
 	lp := cs.tab.lp
 	if lp == nil {
 		return true
@@ -198,6 +198,6 @@ func (cs *Census) LeaderSilent(l LeaderState) bool {
 // Silent is the full incremental silence test: no schedulable mobile
 // pair is non-null (O(1)) and, when the protocol has a leader, every
 // occupied state is null against the given leader state.
-func (cs *Census) Silent(l LeaderState) bool {
+func (cs *Census) Silent(l Leader) bool {
 	return cs.active == 0 && cs.LeaderSilent(l)
 }

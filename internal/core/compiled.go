@@ -13,7 +13,9 @@ import "fmt"
 // concurrent use by any number of runners (batch trials share one).
 // It implements Protocol, delegating the metadata methods to the
 // source protocol; leader transitions stay interface-dispatched on the
-// source (LeaderState is unbounded, so they cannot be tabulated).
+// source: a leader is bounded, but its registers span far more values
+// than |Q| (Protocol 1's pointer k alone takes 2^(P-1)+1), so a dense
+// table over leader states would dwarf the mobile one.
 type Compiled struct {
 	src Protocol
 	lp  LeaderProtocol // non-nil iff src has a leader

@@ -8,11 +8,11 @@ import (
 )
 
 // Config is a configuration of the system: the vector of mobile-agent
-// states, plus the leader state when the protocol has a leader (nil
-// otherwise). A Config is mutable; use Clone before sharing.
+// states, plus the leader state when the protocol has a leader (the
+// zero Leader otherwise). A Config is mutable; use Clone before sharing.
 type Config struct {
 	Mobile []State
-	Leader LeaderState
+	Leader Leader
 }
 
 // NewConfig returns a configuration of n mobile agents all in state s,
@@ -35,10 +35,13 @@ func NewConfigStates(states ...State) *Config {
 
 // WithLeader sets the leader state and returns the same configuration,
 // for fluent construction.
-func (c *Config) WithLeader(l LeaderState) *Config {
+func (c *Config) WithLeader(l Leader) *Config {
 	c.Leader = l
 	return c
 }
+
+// HasLeader reports whether the configuration carries a leader.
+func (c *Config) HasLeader() bool { return c.Leader.kind != nil }
 
 // N returns the number of mobile agents.
 func (c *Config) N() int { return len(c.Mobile) }
@@ -47,17 +50,13 @@ func (c *Config) N() int { return len(c.Mobile) }
 func (c *Config) Clone() *Config {
 	m := make([]State, len(c.Mobile))
 	copy(m, c.Mobile)
-	var l LeaderState
-	if c.Leader != nil {
-		l = c.Leader.Clone()
-	}
-	return &Config{Mobile: m, Leader: l}
+	return &Config{Mobile: m, Leader: c.Leader}
 }
 
 // Equal reports whether two configurations are identical agent by agent
 // (identity-preserving equality, not multiset equivalence).
 func (c *Config) Equal(o *Config) bool {
-	if c.N() != o.N() {
+	if c.N() != o.N() || c.Leader != o.Leader {
 		return false
 	}
 	for i, s := range c.Mobile {
@@ -65,14 +64,7 @@ func (c *Config) Equal(o *Config) bool {
 			return false
 		}
 	}
-	switch {
-	case c.Leader == nil && o.Leader == nil:
-		return true
-	case c.Leader == nil || o.Leader == nil:
-		return false
-	default:
-		return c.Leader.Equal(o.Leader)
-	}
+	return true
 }
 
 // Key returns a canonical identity-preserving encoding of the
@@ -154,9 +146,8 @@ func (c *Config) AppendMultisetKey(buf []byte) []byte {
 }
 
 func (c *Config) appendLeaderKey(buf []byte) []byte {
-	if c.Leader != nil {
-		buf = append(buf, '|')
-		buf = append(buf, c.Leader.Key()...)
+	if c.HasLeader() {
+		buf = c.Leader.AppendKey(append(buf, '|'))
 	}
 	return buf
 }
@@ -216,7 +207,7 @@ func (c *Config) String() string {
 		}
 		fmt.Fprintf(&b, "%d", s)
 	}
-	if c.Leader != nil {
+	if c.HasLeader() {
 		fmt.Fprintf(&b, " | %s", c.Leader)
 	}
 	b.WriteByte(']')
@@ -242,7 +233,7 @@ func ApplyMobile(p Protocol, c *Config, i, j int) bool {
 func ApplyLeader(lp LeaderProtocol, c *Config, j int) bool {
 	x := c.Mobile[j]
 	l2, x2 := lp.LeaderInteract(c.Leader, x)
-	changed := x2 != x || !l2.Equal(c.Leader)
+	changed := x2 != x || l2 != c.Leader
 	c.Leader = l2
 	c.Mobile[j] = x2
 	return changed

@@ -9,16 +9,10 @@ import (
 	"popnaming/internal/prng"
 )
 
-// testLeader is a minimal LeaderState for configuration tests.
-type testLeader struct{ v int }
+// testKind is a one-register leader kind for configuration tests.
+var testKind = &LeaderKind{Name: "T", Fields: []string{"v"}}
 
-func (l testLeader) Clone() LeaderState { return l }
-func (l testLeader) Equal(o LeaderState) bool {
-	ol, ok := o.(testLeader)
-	return ok && ol == l
-}
-func (l testLeader) Key() string    { return "v=" + string(rune('0'+l.v)) }
-func (l testLeader) String() string { return l.Key() }
+func testLeader(v int) Leader { return testKind.New(v) }
 
 func TestNewConfig(t *testing.T) {
 	c := NewConfig(4, 7)
@@ -30,7 +24,7 @@ func TestNewConfig(t *testing.T) {
 			t.Errorf("agent %d = %d, want 7", i, s)
 		}
 	}
-	if c.Leader != nil {
+	if c.HasLeader() {
 		t.Error("unexpected leader")
 	}
 }
@@ -45,11 +39,11 @@ func TestNewConfigStatesCopies(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	c := NewConfigStates(1, 2, 3).WithLeader(testLeader{v: 1})
+	c := NewConfigStates(1, 2, 3).WithLeader(testLeader(1))
 	d := c.Clone()
 	d.Mobile[0] = 9
-	d.Leader = testLeader{v: 2}
-	if c.Mobile[0] != 1 || !c.Leader.Equal(testLeader{v: 1}) {
+	d.Leader = testLeader(2)
+	if c.Mobile[0] != 1 || c.Leader != testLeader(1) {
 		t.Error("Clone shares state with original")
 	}
 	if !c.Equal(c.Clone()) {
@@ -65,10 +59,10 @@ func TestEqual(t *testing.T) {
 		{NewConfigStates(1, 2), NewConfigStates(1, 2), true},
 		{NewConfigStates(1, 2), NewConfigStates(2, 1), false},
 		{NewConfigStates(1, 2), NewConfigStates(1, 2, 3), false},
-		{NewConfigStates(1).WithLeader(testLeader{1}), NewConfigStates(1).WithLeader(testLeader{1}), true},
-		{NewConfigStates(1).WithLeader(testLeader{1}), NewConfigStates(1).WithLeader(testLeader{2}), false},
-		{NewConfigStates(1).WithLeader(testLeader{1}), NewConfigStates(1), false},
-		{NewConfigStates(1), NewConfigStates(1).WithLeader(testLeader{1}), false},
+		{NewConfigStates(1).WithLeader(testLeader(1)), NewConfigStates(1).WithLeader(testLeader(1)), true},
+		{NewConfigStates(1).WithLeader(testLeader(1)), NewConfigStates(1).WithLeader(testLeader(2)), false},
+		{NewConfigStates(1).WithLeader(testLeader(1)), NewConfigStates(1), false},
+		{NewConfigStates(1), NewConfigStates(1).WithLeader(testLeader(1)), false},
 	}
 	for i, c := range cases {
 		if got := c.a.Equal(c.b); got != c.want {
@@ -89,7 +83,7 @@ func TestKeyDistinguishesIdentity(t *testing.T) {
 }
 
 func TestKeyLeaderSeparator(t *testing.T) {
-	withL := NewConfigStates(1, 2).WithLeader(testLeader{3}).Key()
+	withL := NewConfigStates(1, 2).WithLeader(testLeader(3)).Key()
 	without := NewConfigStates(1, 2).Key()
 	if withL == without {
 		t.Error("Key ignores leader")
@@ -194,7 +188,7 @@ func TestValidNamingProperty(t *testing.T) {
 }
 
 func TestStringFormat(t *testing.T) {
-	c := NewConfigStates(1, 2).WithLeader(testLeader{3})
+	c := NewConfigStates(1, 2).WithLeader(testLeader(3))
 	got := c.String()
 	if !strings.HasPrefix(got, "[1 2 | ") {
 		t.Errorf("String = %q", got)

@@ -28,9 +28,9 @@ type CountConfig struct {
 	// Counts is the occupancy vector, indexed by state; len(Counts)
 	// must equal the protocol's States().
 	Counts []int
-	// Leader is the leader state when the protocol has a leader (nil
-	// otherwise). Leader agents are counted separately from Counts.
-	Leader LeaderState
+	// Leader is the leader state when the protocol has a leader (the
+	// zero Leader otherwise). The leader is not counted in Counts.
+	Leader Leader
 }
 
 // NewCountConfig returns an empty occupancy vector over q states.
@@ -50,8 +50,8 @@ func UniformCountConfig(q, n int, s State) (*CountConfig, error) {
 }
 
 // CountsOf folds an agent-array configuration into its occupancy
-// vector (forgetting identities), rejecting states outside [0, q). The
-// leader state is aliased, not cloned.
+// vector (forgetting identities), rejecting states outside [0, q), and
+// keeps its leader.
 func CountsOf(cfg *Config, q int) (*CountConfig, error) {
 	cc := NewCountConfig(q)
 	for i, s := range cfg.Mobile {
@@ -86,6 +86,9 @@ func (cc *CountConfig) N() int {
 	return n
 }
 
+// HasLeader reports whether the configuration carries a leader.
+func (cc *CountConfig) HasLeader() bool { return cc.Leader.kind != nil }
+
 // Count returns the number of agents in state s.
 func (cc *CountConfig) Count(s State) int { return cc.Counts[int(s)] }
 
@@ -93,11 +96,7 @@ func (cc *CountConfig) Count(s State) int { return cc.Counts[int(s)] }
 func (cc *CountConfig) Clone() *CountConfig {
 	counts := make([]int, len(cc.Counts))
 	copy(counts, cc.Counts)
-	var l LeaderState
-	if cc.Leader != nil {
-		l = cc.Leader.Clone()
-	}
-	return &CountConfig{Counts: counts, Leader: l}
+	return &CountConfig{Counts: counts, Leader: cc.Leader}
 }
 
 // HasHomonyms reports whether two agents share a state (some count
@@ -126,7 +125,7 @@ func (cc *CountConfig) Validate() error {
 		}
 		n += c
 	}
-	_, err := TotalPairWeight(n, cc.Leader != nil)
+	_, err := TotalPairWeight(n, cc.HasLeader())
 	return err
 }
 
@@ -144,7 +143,7 @@ func (cc *CountConfig) String() string {
 		first = false
 		fmt.Fprintf(&b, "%d:%d", s, c)
 	}
-	if cc.Leader != nil {
+	if cc.HasLeader() {
 		fmt.Fprintf(&b, " | %s", cc.Leader)
 	}
 	b.WriteByte('}')

@@ -154,7 +154,7 @@ func TestCensusCountsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Silent(nil) {
+	if cs.Silent(Leader{}) {
 		t.Fatal("{0:1 1:1} census config should not be silent")
 	}
 	cs.Apply(0, 1, 2, 2)
@@ -164,7 +164,7 @@ func TestCensusCountsShared(t *testing.T) {
 	if cc.N() != 2 {
 		t.Errorf("population not conserved: %d", cc.N())
 	}
-	if !cs.Silent(nil) {
+	if !cs.Silent(Leader{}) {
 		t.Error("all-2 configuration must be silent")
 	}
 

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
+	"strconv"
 )
 
 // Protocol is a deterministic population protocol over mobile agents.
@@ -29,22 +29,80 @@ type Protocol interface {
 	Mobile(x, y State) (State, State)
 }
 
-// LeaderState is the state of the distinguished leader agent. The paper
-// places no bound on its size, so each protocol supplies its own concrete
-// type. Implementations must be immutable value types: methods never
-// mutate the receiver, and Clone returns an independent copy.
-type LeaderState interface {
-	// Clone returns a deep copy.
-	Clone() LeaderState
-	// Equal reports semantic equality with another leader state of the
-	// same dynamic type. Equal(nil) must return false.
-	Equal(LeaderState) bool
-	// Key returns a canonical encoding used to deduplicate
-	// configurations during model checking. Two states are Equal iff
-	// their Keys match.
-	Key() string
+// LeaderKind is the static descriptor of one protocol's leader: the
+// name and register labels used to render it. A protocol declares its
+// kind once, as a package variable, and every Leader it builds points
+// at that one descriptor.
+type LeaderKind struct {
+	// Name prefixes the rendering, e.g. "BST".
+	Name string
+	// Fields labels the registers in order, at most three of them; an
+	// empty label renders the bare value.
+	Fields []string
+}
 
-	fmt.Stringer
+// Leader is the state of the distinguished leader agent. Every leader
+// in the paper is a few bounded counters — Protocols 1-3 keep a guess
+// n and a U* pointer k (Protocol 3 adds a name pointer), and
+// Proposition 14's leader is one counter — so a Leader is up to three
+// int registers plus its kind.
+//
+// Leader is a comparable value: equality is ==, assignment copies, and
+// building or comparing one never allocates. The zero value means "no
+// leader". Leaders of different kinds never compare equal.
+type Leader struct {
+	kind *LeaderKind
+	regs [3]int
+}
+
+// New returns the leader of kind k holding the given register values
+// in Fields order; registers not given are zero. It panics when given
+// more values than k has fields.
+func (k *LeaderKind) New(regs ...int) Leader {
+	if len(regs) > len(k.Fields) || len(k.Fields) > len(Leader{}.regs) {
+		panic("core: leader kind " + k.Name + ": too many registers")
+	}
+	l := Leader{kind: k}
+	copy(l.regs[:], regs)
+	return l
+}
+
+// Reg returns register i. Protocols wrap it in named accessors.
+func (l Leader) Reg(i int) int { return l.regs[i] }
+
+// AppendKey appends a canonical encoding of the registers to buf: the
+// kind's field count of decimal values separated by ';'. Two leaders
+// of one kind are equal iff their keys are.
+func (l Leader) AppendKey(buf []byte) []byte {
+	if l.kind == nil {
+		return buf
+	}
+	for i := range l.kind.Fields {
+		if i > 0 {
+			buf = append(buf, ';')
+		}
+		buf = strconv.AppendInt(buf, int64(l.regs[i]), 10)
+	}
+	return buf
+}
+
+// String renders the leader as Name{label:value ...}, e.g.
+// "BST{n:3 k:4 ptr:2}"; the zero Leader renders as "<nil>".
+func (l Leader) String() string {
+	if l.kind == nil {
+		return "<nil>"
+	}
+	b := append([]byte(l.kind.Name), '{')
+	for i, f := range l.kind.Fields {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		if f != "" {
+			b = append(append(b, f...), ':')
+		}
+		b = strconv.AppendInt(b, int64(l.regs[i]), 10)
+	}
+	return string(append(b, '}'))
 }
 
 // LeaderProtocol is a Protocol in which a unique leader participates in
@@ -55,10 +113,10 @@ type LeaderProtocol interface {
 	Protocol
 	// InitLeader returns the well-initialized leader state, as specified
 	// by the protocol (for example all counters zero).
-	InitLeader() LeaderState
+	InitLeader() Leader
 	// LeaderInteract computes the transition applied when the leader in
 	// state l meets a mobile agent in state x.
-	LeaderInteract(l LeaderState, x State) (LeaderState, State)
+	LeaderInteract(l Leader, x State) (Leader, State)
 }
 
 // ArbitraryLeaderProtocol is implemented by self-stabilizing protocols
@@ -67,7 +125,7 @@ type LeaderProtocol interface {
 // leader state for adversarial initialization experiments.
 type ArbitraryLeaderProtocol interface {
 	LeaderProtocol
-	RandomLeader(r *rand.Rand) LeaderState
+	RandomLeader(r *rand.Rand) Leader
 }
 
 // UniformInitProtocol is implemented by protocols whose correctness
@@ -92,6 +150,15 @@ func HasLeader(p Protocol) bool {
 	return ok
 }
 
+// InitialLeader returns p's initialized leader state, or the zero
+// Leader ("no leader") when p has none.
+func InitialLeader(p Protocol) Leader {
+	if lp, ok := p.(LeaderProtocol); ok {
+		return lp.InitLeader()
+	}
+	return Leader{}
+}
+
 // IsNullMobile reports whether the mobile-mobile transition from (x, y)
 // leaves both states unchanged.
 func IsNullMobile(p Protocol, x, y State) bool {
@@ -101,7 +168,7 @@ func IsNullMobile(p Protocol, x, y State) bool {
 
 // IsNullLeader reports whether the leader-mobile transition from (l, x)
 // leaves both states unchanged.
-func IsNullLeader(lp LeaderProtocol, l LeaderState, x State) bool {
+func IsNullLeader(lp LeaderProtocol, l Leader, x State) bool {
 	l2, x2 := lp.LeaderInteract(l, x)
-	return x2 == x && l2.Equal(l)
+	return x2 == x && l2 == l
 }

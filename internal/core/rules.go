@@ -170,8 +170,8 @@ func CheckProtocol(p Protocol) error {
 	}
 	if lp, ok := p.(LeaderProtocol); ok {
 		l := lp.InitLeader()
-		if l == nil {
-			return fmt.Errorf("protocol %q: InitLeader returned nil", p.Name())
+		if l == (Leader{}) {
+			return fmt.Errorf("protocol %q: InitLeader returned no leader", p.Name())
 		}
 		for x := 0; x < q; x++ {
 			_, x2 := lp.LeaderInteract(l, State(x))

@@ -228,23 +228,18 @@ func TestSilentChecksBothOrders(t *testing.T) {
 // state space.
 type badLeader struct{ *RuleTable }
 
-type blState struct{}
+var blKind = &LeaderKind{Name: "bl"}
 
-func (blState) Clone() LeaderState       { return blState{} }
-func (blState) Equal(o LeaderState) bool { _, ok := o.(blState); return ok }
-func (blState) Key() string              { return "bl" }
-func (blState) String() string           { return "bl" }
-
-func (badLeader) InitLeader() LeaderState { return blState{} }
-func (badLeader) LeaderInteract(l LeaderState, x State) (LeaderState, State) {
+func (badLeader) InitLeader() Leader { return blKind.New() }
+func (badLeader) LeaderInteract(l Leader, x State) (Leader, State) {
 	return l, x + 100
 }
 
-// nilLeader returns a nil initial leader state.
+// nilLeader returns the zero ("no leader") initial leader state.
 type nilLeader struct{ *RuleTable }
 
-func (nilLeader) InitLeader() LeaderState { return nil }
-func (nilLeader) LeaderInteract(l LeaderState, x State) (LeaderState, State) {
+func (nilLeader) InitLeader() Leader { return Leader{} }
+func (nilLeader) LeaderInteract(l Leader, x State) (Leader, State) {
 	return l, x
 }
 

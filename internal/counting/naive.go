@@ -46,26 +46,26 @@ func (pr *NaiveVariant) Mobile(x, y core.State) (core.State, core.State) {
 }
 
 // InitLeader implements core.LeaderProtocol.
-func (pr *NaiveVariant) InitLeader() core.LeaderState { return BST{} }
+func (pr *NaiveVariant) InitLeader() core.Leader { return BST(0, 0) }
 
 // Count extracts the BST's population-size estimate.
-func (pr *NaiveVariant) Count(c *core.Config) int { return c.Leader.(BST).N }
+func (pr *NaiveVariant) Count(c *core.Config) int { return Guess(c.Leader) }
 
 // LeaderInteract implements core.LeaderProtocol: Protocol 1's update
 // with the cyclic sequence and the linear threshold.
-func (pr *NaiveVariant) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
-	b := l.(BST)
-	if b.N >= pr.p || (x != 0 && int(x) <= b.N) {
-		return b, x
+func (pr *NaiveVariant) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	n, k := Guess(l), Pointer(l)
+	if n >= pr.p || (x != 0 && int(x) <= n) {
+		return l, x
 	}
 	if x == 0 {
-		b.K++
+		k++
 	} else {
-		b.K = b.N + 1
+		k = n + 1
 	}
-	if b.K > b.N {
-		b.N++
+	if k > n {
+		n++
 	}
-	name := (b.K-1)%(pr.p-1) + 1
-	return b, core.State(name)
+	name := (k-1)%(pr.p-1) + 1
+	return BST(n, k), core.State(name)
 }

@@ -50,7 +50,7 @@ func TestNaiveFailsModelCheck(t *testing.T) {
 		}
 		nn := n
 		verdict := g.CheckWeak(func(c *core.Config) bool {
-			return c.Leader.(BST).N == nn
+			return Guess(c.Leader) == nn
 		})
 		if !verdict.OK {
 			failed = true

@@ -21,26 +21,18 @@ import (
 	"popnaming/internal/seq"
 )
 
-// BST is the leader (base station) state of Protocol 1: the current
-// population-size guess N and the U* pointer K.
-type BST struct {
-	N int // population-size guess, in [0, P]
-	K int // pointer into U*, in [0, 2^(P-1)]
-}
+// bstKind is the leader (base station) of Protocols 1 and 2 and of the
+// naive ablation: the population-size guess n and the U* pointer k.
+var bstKind = &core.LeaderKind{Name: "BST", Fields: []string{"n", "k"}}
 
-// Clone implements core.LeaderState.
-func (b BST) Clone() core.LeaderState { return b }
+// BST returns the base-station leader state with guess n and pointer k.
+func BST(n, k int) core.Leader { return bstKind.New(n, k) }
 
-// Equal implements core.LeaderState.
-func (b BST) Equal(o core.LeaderState) bool {
-	ob, ok := o.(BST)
-	return ok && ob == b
-}
+// Guess returns a base station's population-size guess n.
+func Guess(l core.Leader) int { return l.Reg(0) }
 
-// Key implements core.LeaderState.
-func (b BST) Key() string { return fmt.Sprintf("n=%d;k=%d", b.N, b.K) }
-
-func (b BST) String() string { return fmt.Sprintf("BST{n:%d k:%d}", b.N, b.K) }
+// Pointer returns a base station's U* pointer k.
+func Pointer(l core.Leader) int { return l.Reg(1) }
 
 // Protocol1 is the counting protocol. It implements core.LeaderProtocol.
 type Protocol1 struct {
@@ -76,17 +68,16 @@ func (pr *Protocol1) Mobile(x, y core.State) (core.State, core.State) {
 // InitLeader implements core.LeaderProtocol: the BST starts with both
 // counters at zero. Protocol 1 requires this initialization (the mobile
 // agents may start arbitrarily).
-func (pr *Protocol1) InitLeader() core.LeaderState { return BST{} }
+func (pr *Protocol1) InitLeader() core.Leader { return BST(0, 0) }
 
 // LeaderInteract implements core.LeaderProtocol: lines 1-9 of Protocol 1.
-func (pr *Protocol1) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
-	b := l.(BST)
-	n2, k2, x2 := CountingStep(b.N, b.K, x, pr.p, pr.p-1)
-	return BST{N: n2, K: k2}, x2
+func (pr *Protocol1) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	n2, k2, x2 := CountingStep(Guess(l), Pointer(l), x, pr.p, pr.p-1)
+	return BST(n2, k2), x2
 }
 
 // Count extracts the BST's current population-size estimate.
-func (pr *Protocol1) Count(c *core.Config) int { return c.Leader.(BST).N }
+func (pr *Protocol1) Count(c *core.Config) int { return Guess(c.Leader) }
 
 // RandomMobile returns an arbitrary mobile state, for adversarial
 // initialization experiments.

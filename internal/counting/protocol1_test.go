@@ -193,7 +193,7 @@ func TestModelCheckCounting(t *testing.T) {
 		}
 		nn := n
 		verdict := g.CheckWeak(func(c *core.Config) bool {
-			return c.Leader.(BST).N == nn
+			return Guess(c.Leader) == nn
 		})
 		if !verdict.OK {
 			t.Fatalf("N=%d: %s", n, verdict)
@@ -257,17 +257,17 @@ func allMobileStarts(pr *Protocol1, n int) []*core.Config {
 
 // TestLeaderStateSemantics covers the BST value-type contract.
 func TestLeaderStateSemantics(t *testing.T) {
-	a := BST{N: 1, K: 2}
-	if !a.Equal(a.Clone()) {
-		t.Error("clone not equal")
+	a := BST(1, 2)
+	if c := a; c != a {
+		t.Error("copy not equal")
 	}
-	if a.Equal(BST{N: 1, K: 3}) {
+	if a == BST(1, 3) {
 		t.Error("distinct states compare equal")
 	}
-	if a.Equal(nil) {
-		t.Error("Equal(nil) returned true")
+	if a == (core.Leader{}) {
+		t.Error("leader equals the zero (no-leader) value")
 	}
-	if a.Key() == (BST{N: 2, K: 1}).Key() {
+	if string(a.AppendKey(nil)) == string(BST(2, 1).AppendKey(nil)) {
 		t.Error("Key collision across distinct states")
 	}
 }
@@ -283,7 +283,7 @@ func TestGuessNeverDecreasesInExecution(t *testing.T) {
 	prev := 0
 	for i := 0; i < 200000; i++ {
 		run.Step()
-		if got := cfg.Leader.(BST).N; got < prev {
+		if got := Guess(cfg.Leader); got < prev {
 			t.Fatalf("guess decreased from %d to %d at step %d", prev, got, i)
 		} else {
 			prev = got

@@ -44,13 +44,9 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 	var out []DistPoint
 	add := func(name string, pr core.Protocol, p, n int) {
 		pt := DistPoint{Protocol: name, P: p, N: n, SimTrials: simTrials}
-		var leader core.LeaderState
-		if lp, ok := pr.(core.LeaderProtocol); ok {
-			leader = lp.InitLeader()
-		}
-		start := core.NewConfig(n, 0)
-		start.Leader = leader
-		g, err := explore.Build(pr, allStarts(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
+		leader := core.InitialLeader(pr)
+		start := core.NewConfig(n, 0).WithLeader(leader)
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
 		if err != nil {
 			pt.Err = err.Error()
 			out = append(out, pt)

@@ -35,11 +35,8 @@ func ExactTimes() []ExactPoint {
 	var out []ExactPoint
 	add := func(name string, pr core.Protocol, p, n int) {
 		pt := ExactPoint{Protocol: name, P: p, N: n}
-		var leader core.LeaderState
-		if lp, ok := pr.(core.LeaderProtocol); ok {
-			leader = lp.InitLeader()
-		}
-		g, err := explore.Build(pr, allStarts(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 21})
+		leader := core.InitialLeader(pr)
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			pt.Err = err.Error()
 			out = append(out, pt)
@@ -51,8 +48,7 @@ func ExactTimes() []ExactPoint {
 			out = append(out, pt)
 			return
 		}
-		zero := core.NewConfig(n, 0)
-		zero.Leader = leader
+		zero := core.NewConfig(n, 0).WithLeader(leader)
 		fromZero, err := chain.ExpectedSteps(zero)
 		if err != nil {
 			pt.Err = err.Error()

@@ -7,7 +7,6 @@ import (
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
 	"popnaming/internal/naming"
-	"popnaming/internal/seq"
 )
 
 // ResetAblationResult is experiment E16: Protocol 2 with and without its
@@ -35,16 +34,8 @@ type ResetAblationResult struct {
 func ResetAblation(p int) ResetAblationResult {
 	res := ResetAblationResult{P: p}
 
-	check := func(pr core.LeaderProtocol, leaders []core.LeaderState, n int) (explore.Verdict, bool) {
-		var starts []*core.Config
-		for _, base := range allStarts(pr.States(), n, nil) {
-			for _, l := range leaders {
-				c := base.Clone()
-				c.Leader = l.Clone()
-				starts = append(starts, c)
-			}
-		}
-		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 21})
+	check := func(pr core.LeaderProtocol, leaders []core.Leader, n int) (explore.Verdict, bool) {
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leaders...), explore.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			return explore.Verdict{Reason: err.Error()}, false
 		}
@@ -52,27 +43,17 @@ func ResetAblation(p int) ResetAblationResult {
 		return v, v.OK
 	}
 
-	allLeaders := func() []core.LeaderState {
-		var ls []core.LeaderState
-		for n := 0; n <= p+1; n++ {
-			for k := 0; k <= seq.Len(p)+1; k++ {
-				ls = append(ls, naming.ResetBST{N: n, K: k})
-			}
-		}
-		return ls
-	}
-
 	withReset := naming.NewSelfStab(p)
-	v1, ok1 := check(withReset, allLeaders(), p)
+	v1, ok1 := check(withReset, withReset.Leaders(), p)
 	res.WithResetOK = ok1
 	res.Explored += v1.Explored
 
 	ablated := naming.NewNoReset(p)
-	v2, ok2 := check(ablated, []core.LeaderState{ablated.InitLeader()}, p)
+	v2, ok2 := check(ablated, []core.Leader{ablated.InitLeader()}, p)
 	res.NoResetInitializedOK = ok2
 	res.Explored += v2.Explored
 
-	v3, ok3 := check(ablated, allLeaders(), p)
+	v3, ok3 := check(ablated, ablated.Leaders(), p)
 	res.NoResetArbitraryOK = ok3
 	res.Explored += v3.Explored
 	if !ok3 {

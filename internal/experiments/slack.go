@@ -74,10 +74,7 @@ func Slack(name string, mkProto func(p int) core.Protocol, opts SlackOptions) Sl
 		point := SlackPoint{P: opts.N + slack, Slack: slack, Trials: opts.Trials}
 		var steps []float64
 		for trial := 0; trial < opts.Trials; trial++ {
-			cfg := core.NewConfig(opts.N, 0)
-			if lp, ok := pr.(core.LeaderProtocol); ok {
-				cfg.Leader = lp.InitLeader()
-			}
+			cfg := core.NewConfig(opts.N, 0).WithLeader(core.InitialLeader(pr))
 			seed := opts.Seed + int64(slack*1000+trial)
 			run := sim.NewRunner(pr, sched.NewRandom(opts.N, core.HasLeader(pr), seed), cfg).Run(opts.Budget)
 			if !run.Converged || !cfg.ValidNaming() {

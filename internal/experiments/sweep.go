@@ -165,11 +165,7 @@ func startConfig(pr core.Protocol, n int, r *rand.Rand, mode StartMode) *core.Co
 		}
 		return sim.UniformConfig(pr, n)
 	default: // StartAllZero
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := pr.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return cfg
+		return core.NewConfig(n, 0).WithLeader(core.InitialLeader(pr))
 	}
 }
 

@@ -166,7 +166,7 @@ func cellNoLeaderSymGlobal(o Table1Options) Cell {
 
 func modelCheckSymGlobal(p, workers int) explore.Verdict {
 	pr := naming.NewSymGlobal(p)
-	g, err := explore.Build(pr, allStarts(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), 3), explore.Options{MaxNodes: 1 << 20, Workers: workers})
 	if err != nil {
 		return explore.Verdict{Reason: err.Error()}
 	}
@@ -178,7 +178,7 @@ func modelCheckSymGlobal(p, workers int) explore.Verdict {
 func cellAsymmetric(o Table1Options, leader string) Cell {
 	pr := naming.NewAsymmetric(o.P)
 	simOK, runs := convergeMany(pr, o, nil, false)
-	g, err := explore.Build(pr, allStarts(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: o.Workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), 3), explore.Options{MaxNodes: 1 << 20, Workers: o.Workers})
 	verdictOK := false
 	explored := 0
 	if err == nil {
@@ -248,7 +248,7 @@ func cellInitLeaderSymWeak(o Table1Options) Cell {
 
 func modelCheckGlobalPWeak(p, workers int) explore.Verdict {
 	pr := naming.NewGlobalP(p)
-	g, err := explore.Build(pr, allStarts(pr.States(), p, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20, Workers: workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), p, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20, Workers: workers})
 	if err != nil {
 		return explore.Verdict{OK: true, Reason: err.Error()} // treat as inconclusive
 	}
@@ -259,7 +259,7 @@ func modelCheckGlobalPWeak(p, workers int) explore.Verdict {
 func cellInitLeaderSymGlobal(o Table1Options) Cell {
 	mcP := o.ModelCheckP
 	pr := naming.NewGlobalP(mcP)
-	g, err := explore.Build(pr, allStarts(pr.States(), mcP, pr.InitLeader()), explore.Options{MaxNodes: 1 << 21, Workers: o.Workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), mcP, pr.InitLeader()), explore.Options{MaxNodes: 1 << 21, Workers: o.Workers})
 	verdict := explore.Verdict{}
 	if err == nil {
 		verdict = g.CheckGlobal(explore.Naming)
@@ -317,10 +317,4 @@ func convergeMany(pr core.Protocol, o Table1Options, sizeFilter func(int) bool, 
 		}
 	}
 	return ok, runs
-}
-
-// allStarts enumerates every mobile configuration of n agents over q
-// states, attaching the given leader state (nil for leaderless).
-func allStarts(q, n int, leader core.LeaderState) []*core.Config {
-	return explore.AllConfigs(q, n, leader)
 }

@@ -15,7 +15,7 @@ import (
 // workers > 1 requires a multi-core host (see EXPERIMENTS.md).
 func BenchmarkBuildLarge(b *testing.B) {
 	proto := naming.NewSymGlobal(4)
-	starts := explore.AllConfigs(proto.States(), 5, nil)
+	starts := explore.AllConfigs(proto.States(), 5)
 	for _, w := range []int{1, 2, 8} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
@@ -37,7 +37,7 @@ func BenchmarkGraphNodeID(b *testing.B) {
 	pr := core.NewRuleTable("bw", 4, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	g, err := explore.Build(pr, explore.AllConfigs(2, 4, nil), explore.Options{})
+	g, err := explore.Build(pr, explore.AllConfigs(2, 4), explore.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -295,27 +295,29 @@ func orientations(label core.Pair, symmetric bool) []core.Pair {
 }
 
 // AllConfigs enumerates every configuration of n mobile agents over
-// states [0, q), attaching a clone of the given leader state to each
-// (nil for leaderless protocols) — the standard start set for
-// exhaustive checks.
-func AllConfigs(q, n int, leader core.LeaderState) []*core.Config {
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
+// states [0, q) — the standard start set for exhaustive checks. Each
+// mobile configuration is emitted once per given leader state, in the
+// given order; with no leaders, or the zero Leader, the configurations
+// are leaderless.
+func AllConfigs(q, n int, leaders ...core.Leader) []*core.Config {
+	if len(leaders) == 0 {
+		leaders = []core.Leader{{}}
 	}
-	out := make([]*core.Config, 0, total)
+	mobiles := 1
+	for i := 0; i < n; i++ {
+		mobiles *= q
+	}
+	out := make([]*core.Config, 0, mobiles*len(leaders))
 	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
+	for code := 0; code < mobiles; code++ {
 		c := code
 		for i := range states {
 			states[i] = core.State(c % q)
 			c /= q
 		}
-		cfg := core.NewConfigStates(states...)
-		if leader != nil {
-			cfg.Leader = leader.Clone()
+		for _, l := range leaders {
+			out = append(out, core.NewConfigStates(states...).WithLeader(l))
 		}
-		out = append(out, cfg)
 	}
 	return out
 }

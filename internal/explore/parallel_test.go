@@ -78,7 +78,7 @@ func diffProtocols() []*core.RuleTable {
 
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	for _, pr := range diffProtocols() {
-		starts := AllConfigs(pr.States(), 4, nil)
+		starts := AllConfigs(pr.States(), 4)
 		seq, err := Build(pr, starts, Options{})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", pr.Name(), err)
@@ -186,7 +186,7 @@ func TestBuildStatsParallelShards(t *testing.T) {
 	pr := core.NewRuleTable("bw", 4, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	g, err := Build(pr, AllConfigs(2, 4, nil), Options{Workers: 4})
+	g, err := Build(pr, AllConfigs(2, 4), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestNodeIDZeroAlloc(t *testing.T) {
 	pr := core.NewRuleTable("bw", 3, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	starts := AllConfigs(2, 3, nil)
+	starts := AllConfigs(2, 3)
 	probe := core.NewConfigStates(1, 1, 0)
 	for _, w := range []int{1, 4} {
 		g, err := Build(pr, starts, Options{Workers: w})
@@ -246,7 +246,7 @@ func TestFrontierCompaction(t *testing.T) {
 		pr.Add(core.State(s), core.State(s+1), core.State(s+1), core.State(s+1))
 		pr.Add(core.State(s+1), core.State(s), core.State(s+1), core.State(s+1))
 	}
-	starts := AllConfigs(6, 5, nil)
+	starts := AllConfigs(6, 5)
 	seq, err := Build(pr, starts, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestParallelKeySetMatches(t *testing.T) {
 	pr := core.NewRuleTable("bw", 4, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	starts := AllConfigs(2, 4, nil)
+	starts := AllConfigs(2, 4)
 	seq, _ := Build(pr, starts, Options{})
 	par, err := Build(pr, starts, Options{Workers: 8})
 	if err != nil {

@@ -26,11 +26,7 @@ func TestRegistryParallelBuildDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		proto := spec.New(p)
-		var leader core.LeaderState
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			leader = lp.InitLeader()
-		}
-		starts := explore.AllConfigs(proto.States(), n, leader)
+		starts := explore.AllConfigs(proto.States(), n, core.InitialLeader(proto))
 		seq, err := explore.Build(proto, starts, explore.Options{})
 		if err != nil {
 			t.Fatalf("%s: sequential build: %v", key, err)

@@ -37,7 +37,7 @@ func Prop4Stuck(p int, s core.State) Prop4Report {
 	if int(s) < 0 || int(s) >= proto.States() {
 		panic(fmt.Sprintf("impossible: state %d out of range [0,%d)", s, proto.States()))
 	}
-	cfg := core.NewConfig(p, s).WithLeader(naming.PtrBST{N: p, K: 0, NamePtr: p})
+	cfg := core.NewConfig(p, s).WithLeader(naming.PtrBST(p, 0, p))
 	// Reduce the homonyms (the proof's reducing sequences): each
 	// interacting homonym pair sinks to 0, after which no transition —
 	// mobile or leader — applies.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 	"popnaming/internal/naming"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -29,7 +30,7 @@ func ExampleNewAsymmetric() {
 func ExampleNewSelfStab() {
 	proto := naming.NewSelfStab(3) // bound P = 3, so 4 states per agent
 	cfg := core.NewConfigStates(2, 2, 2).
-		WithLeader(naming.ResetBST{N: 5, K: 7}) // garbage leader state
+		WithLeader(counting.BST(5, 7)) // garbage leader state
 	res := sim.NewRunner(proto, sched.NewRoundRobin(3, true), cfg).Run(100000)
 	fmt.Println("converged:", res.Converged)
 	fmt.Println("distinct names:", cfg.ValidNaming())

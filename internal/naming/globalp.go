@@ -26,29 +26,17 @@ type GlobalP struct {
 	p int
 }
 
-// PtrBST is the leader state of Protocol 3: Protocol 1's (n, k) plus the
-// naming pointer in [0, P].
-type PtrBST struct {
-	N       int
-	K       int
-	NamePtr int
-}
+// ptrBSTKind is the leader of Protocol 3: Protocol 1's guess n and U*
+// pointer k plus the naming pointer in [0, P].
+var ptrBSTKind = &core.LeaderKind{Name: "BST", Fields: []string{"n", "k", "ptr"}}
 
-// Clone implements core.LeaderState.
-func (b PtrBST) Clone() core.LeaderState { return b }
+// PtrBST returns Protocol 3's leader state with guess n, U* pointer k
+// and naming pointer namePtr. counting.Guess and counting.Pointer read
+// its n and k.
+func PtrBST(n, k, namePtr int) core.Leader { return ptrBSTKind.New(n, k, namePtr) }
 
-// Equal implements core.LeaderState.
-func (b PtrBST) Equal(o core.LeaderState) bool {
-	ob, ok := o.(PtrBST)
-	return ok && ob == b
-}
-
-// Key implements core.LeaderState.
-func (b PtrBST) Key() string { return fmt.Sprintf("n=%d;k=%d;ptr=%d", b.N, b.K, b.NamePtr) }
-
-func (b PtrBST) String() string {
-	return fmt.Sprintf("BST{n:%d k:%d ptr:%d}", b.N, b.K, b.NamePtr)
-}
+// NamePtr returns a Protocol 3 leader's naming pointer.
+func NamePtr(l core.Leader) int { return l.Reg(2) }
 
 // NewGlobalP returns Protocol 3 for bound p >= 2.
 func NewGlobalP(p int) *GlobalP {
@@ -77,7 +65,7 @@ func (pr *GlobalP) Mobile(x, y core.State) (core.State, core.State) {
 
 // InitLeader implements core.LeaderProtocol: Protocol 3 requires the
 // leader initialized with all three variables at zero.
-func (pr *GlobalP) InitLeader() core.LeaderState { return PtrBST{} }
+func (pr *GlobalP) InitLeader() core.Leader { return PtrBST(0, 0, 0) }
 
 // RandomMobile returns an arbitrary mobile state in [0, P-1].
 func (pr *GlobalP) RandomMobile(r *rand.Rand) core.State {
@@ -89,16 +77,16 @@ func (pr *GlobalP) RandomMobile(r *rand.Rand) core.State {
 // (lines 11-16) are sequential guarded statements, so an interaction that
 // raises n to P also runs the pointer block, exactly as in the paper's
 // pseudo-code.
-func (pr *GlobalP) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
-	b := l.(PtrBST)
-	b.N, b.K, x = counting.CountingStep(b.N, b.K, x, pr.p, pr.p-1) // lines 2-9
-	if b.N == pr.p && b.NamePtr < pr.p {                           // line 11
-		if int(x) == b.NamePtr { // line 12
-			b.NamePtr++ // line 13
+func (pr *GlobalP) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	n, k, ptr := counting.Guess(l), counting.Pointer(l), NamePtr(l)
+	n, k, x = counting.CountingStep(n, k, x, pr.p, pr.p-1) // lines 2-9
+	if n == pr.p && ptr < pr.p {                           // line 11
+		if int(x) == ptr { // line 12
+			ptr++ // line 13
 		} else {
-			x = core.State(b.NamePtr) // line 15
-			b.NamePtr = 0             // line 16
+			x = core.State(ptr) // line 15
+			ptr = 0             // line 16
 		}
 	}
-	return b, x
+	return PtrBST(n, k, ptr), x
 }

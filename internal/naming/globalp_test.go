@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 	"popnaming/internal/explore"
 	"popnaming/internal/prng"
 	"popnaming/internal/sched"
@@ -12,22 +13,22 @@ import (
 
 func TestGlobalPPointerWalk(t *testing.T) {
 	pr := NewGlobalP(3)
-	l := PtrBST{N: 3, K: 0, NamePtr: 0}
+	l := PtrBST(3, 0, 0)
 
 	// Meeting the agent named by the pointer advances it.
 	l2, x2 := pr.LeaderInteract(l, 0)
-	if x2 != 0 || l2.(PtrBST).NamePtr != 1 {
+	if x2 != 0 || NamePtr(l2) != 1 {
 		t.Fatalf("match: got state %d leader %v", x2, l2)
 	}
 	// Meeting any other agent renames it and resets the pointer.
-	l3, x3 := pr.LeaderInteract(PtrBST{N: 3, NamePtr: 2}, 0)
-	if x3 != 2 || l3.(PtrBST).NamePtr != 0 {
+	l3, x3 := pr.LeaderInteract(PtrBST(3, 0, 2), 0)
+	if x3 != 2 || NamePtr(l3) != 0 {
 		t.Fatalf("mismatch: got state %d leader %v", x3, l3)
 	}
 	// Completed walk is inert.
-	done := PtrBST{N: 3, NamePtr: 3}
+	done := PtrBST(3, 0, 3)
 	l4, x4 := pr.LeaderInteract(done, 1)
-	if !l4.Equal(done) || x4 != 1 {
+	if l4 != done || x4 != 1 {
 		t.Fatalf("completed pointer must be null: %v %d", l4, x4)
 	}
 }
@@ -47,11 +48,11 @@ func TestGlobalPBehavesAsProtocol1BelowP(t *testing.T) {
 		if !cfg.ValidNaming() {
 			t.Fatalf("N=%d: %s", n, cfg)
 		}
-		b := cfg.Leader.(PtrBST)
-		if b.N != n {
-			t.Fatalf("N=%d: guess %d", n, b.N)
+		b := cfg.Leader
+		if counting.Guess(b) != n {
+			t.Fatalf("N=%d: guess %d", n, counting.Guess(b))
 		}
-		if b.NamePtr != 0 {
+		if NamePtr(b) != 0 {
 			t.Fatalf("N=%d: pointer engaged below P: %v", n, b)
 		}
 		for _, s := range cfg.Mobile {
@@ -199,7 +200,7 @@ func TestGlobalPPointerCompletionImpliesNaming(t *testing.T) {
 		run := sim.NewRunner(pr, sched.NewRandom(p, true, int64(trial+100)), cfg)
 		for i := 0; i < 20_000_000; i++ {
 			run.Step()
-			if cfg.Leader.(PtrBST).NamePtr == p {
+			if NamePtr(cfg.Leader) == p {
 				if !cfg.ValidNaming() {
 					t.Fatalf("trial %d: pointer completed on non-naming %s", trial, cfg)
 				}
@@ -210,11 +211,11 @@ func TestGlobalPPointerCompletionImpliesNaming(t *testing.T) {
 }
 
 func TestPtrBSTLeaderState(t *testing.T) {
-	a := PtrBST{N: 1, K: 2, NamePtr: 3}
-	if !a.Equal(a.Clone()) || a.Equal(PtrBST{N: 1, K: 2, NamePtr: 0}) || a.Equal(nil) {
+	a := PtrBST(1, 2, 3)
+	if c := a; c != a || a == PtrBST(1, 2, 0) || a == (core.Leader{}) {
 		t.Error("bad equality semantics")
 	}
-	if a.Key() == (PtrBST{N: 3, K: 2, NamePtr: 1}).Key() {
+	if string(a.AppendKey(nil)) == string(PtrBST(3, 2, 1).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }

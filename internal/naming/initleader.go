@@ -22,25 +22,15 @@ type InitLeader struct {
 	p int
 }
 
-// Counter is the leader state of InitLeader: the next name to assign,
-// in [0, P-1].
-type Counter struct {
-	C int
-}
+// counterKind is the leader of InitLeader: the next name to assign, in
+// [0, P-1].
+var counterKind = &core.LeaderKind{Name: "Counter", Fields: []string{""}}
 
-// Clone implements core.LeaderState.
-func (c Counter) Clone() core.LeaderState { return c }
+// Counter returns InitLeader's leader state with next name c.
+func Counter(c int) core.Leader { return counterKind.New(c) }
 
-// Equal implements core.LeaderState.
-func (c Counter) Equal(o core.LeaderState) bool {
-	oc, ok := o.(Counter)
-	return ok && oc == c
-}
-
-// Key implements core.LeaderState.
-func (c Counter) Key() string { return fmt.Sprintf("c=%d", c.C) }
-
-func (c Counter) String() string { return fmt.Sprintf("Counter{%d}", c.C) }
+// NextName returns an InitLeader leader's next name to assign.
+func NextName(l core.Leader) int { return l.Reg(0) }
 
 // NewInitLeader returns the Proposition 14 protocol for bound p >= 2.
 func NewInitLeader(p int) *InitLeader {
@@ -70,14 +60,12 @@ func (pr *InitLeader) InitMobile() core.State { return core.State(pr.p - 1) }
 func (pr *InitLeader) Mobile(x, y core.State) (core.State, core.State) { return x, y }
 
 // InitLeader implements core.LeaderProtocol.
-func (pr *InitLeader) InitLeader() core.LeaderState { return Counter{} }
+func (pr *InitLeader) InitLeader() core.Leader { return Counter(0) }
 
 // LeaderInteract implements core.LeaderProtocol.
-func (pr *InitLeader) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
-	c := l.(Counter)
-	if int(x) == pr.p-1 && c.C < pr.p-1 {
-		named := core.State(c.C)
-		return Counter{C: c.C + 1}, named
+func (pr *InitLeader) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	if c := NextName(l); int(x) == pr.p-1 && c < pr.p-1 {
+		return Counter(c + 1), core.State(c)
 	}
-	return c, x
+	return l, x
 }

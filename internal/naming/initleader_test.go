@@ -15,18 +15,18 @@ func TestInitLeaderRule(t *testing.T) {
 
 	// First fresh agent gets name 0.
 	l2, x2 := pr.LeaderInteract(l, 3)
-	if x2 != 0 || l2.(Counter).C != 1 {
+	if x2 != 0 || NextName(l2) != 1 {
 		t.Fatalf("first naming: got state %d counter %v", x2, l2)
 	}
 	// Named agents are never renamed.
 	l3, x3 := pr.LeaderInteract(l2, 0)
-	if x3 != 0 || !l3.Equal(l2) {
+	if x3 != 0 || l3 != l2 {
 		t.Fatalf("named agent interaction must be null")
 	}
 	// Counter stops at P-1: the last fresh agent keeps P-1.
-	full := Counter{C: 3}
+	full := Counter(3)
 	l4, x4 := pr.LeaderInteract(full, 3)
-	if x4 != 3 || !l4.Equal(full) {
+	if x4 != 3 || l4 != full {
 		t.Fatalf("fresh agent at full counter must keep state P-1, got %d %v", x4, l4)
 	}
 }
@@ -127,14 +127,14 @@ func TestInitLeaderUniformInitState(t *testing.T) {
 }
 
 func TestCounterLeaderState(t *testing.T) {
-	c := Counter{C: 2}
-	if !c.Equal(c.Clone()) {
-		t.Error("clone not equal")
+	c := Counter(2)
+	if d := c; d != c {
+		t.Error("copy not equal")
 	}
-	if c.Equal(Counter{C: 3}) || c.Equal(nil) {
+	if c == Counter(3) || c == (core.Leader{}) {
 		t.Error("bad equality")
 	}
-	if c.Key() == (Counter{C: 3}).Key() {
+	if string(c.AppendKey(nil)) == string(Counter(3).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 	"popnaming/internal/prng"
 	"popnaming/internal/sched"
 	"popnaming/internal/seq"
@@ -56,7 +57,7 @@ func TestNoResetNamesWithInitializedLeader(t *testing.T) {
 func TestNoResetStuckWithCorruptLeader(t *testing.T) {
 	const p = 4
 	pr := NewNoReset(p)
-	cfg := core.NewConfig(p, 0).WithLeader(ResetBST{N: p + 1, K: 3})
+	cfg := core.NewConfig(p, 0).WithLeader(counting.BST(p+1, 3))
 	if !core.Silent(pr, cfg) {
 		t.Fatal("corrupt-leader configuration should be silent (stuck)")
 	}
@@ -75,8 +76,8 @@ func TestNoResetRandomLeaderDomain(t *testing.T) {
 	pr := NewNoReset(3)
 	r := prng.New(1)
 	for i := 0; i < 500; i++ {
-		l := pr.RandomLeader(r).(ResetBST)
-		if l.N < 0 || l.N > 4 || l.K < 0 || l.K > seq.Len(3)+1 {
+		l := pr.RandomLeader(r)
+		if n, k := counting.Guess(l), counting.Pointer(l); n < 0 || n > 4 || k < 0 || k > seq.Len(3)+1 {
 			t.Fatalf("leader out of domain: %v", l)
 		}
 	}

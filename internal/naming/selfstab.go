@@ -25,27 +25,6 @@ type SelfStab struct {
 	p int
 }
 
-// ResetBST is the leader state of Protocol 2: the guess n in [0, P+1]
-// and the U* pointer k in [0, 2^P].
-type ResetBST struct {
-	N int
-	K int
-}
-
-// Clone implements core.LeaderState.
-func (b ResetBST) Clone() core.LeaderState { return b }
-
-// Equal implements core.LeaderState.
-func (b ResetBST) Equal(o core.LeaderState) bool {
-	ob, ok := o.(ResetBST)
-	return ok && ob == b
-}
-
-// Key implements core.LeaderState.
-func (b ResetBST) Key() string { return fmt.Sprintf("n=%d;k=%d", b.N, b.K) }
-
-func (b ResetBST) String() string { return fmt.Sprintf("BST{n:%d k:%d}", b.N, b.K) }
-
 // NewSelfStab returns Protocol 2 for bound p >= 2.
 func NewSelfStab(p int) *SelfStab {
 	if p < 2 {
@@ -72,17 +51,28 @@ func (pr *SelfStab) Mobile(x, y core.State) (core.State, core.State) {
 }
 
 // InitLeader implements core.LeaderProtocol. Protocol 2 is correct from
-// any leader state; the zero state is merely the canonical one.
-func (pr *SelfStab) InitLeader() core.LeaderState { return ResetBST{} }
+// any leader state; the zero state is merely the canonical one. The
+// leader is Protocol 1's base station (counting.BST): the guess n in
+// [0, P+1] and the U* pointer k in [0, 2^P].
+func (pr *SelfStab) InitLeader() core.Leader { return counting.BST(0, 0) }
 
 // RandomLeader implements core.ArbitraryLeaderProtocol: an arbitrary
 // leader state within the declared variable domains n in [0, P+1],
 // k in [0, 2^P].
-func (pr *SelfStab) RandomLeader(r *rand.Rand) core.LeaderState {
-	return ResetBST{
-		N: r.IntN(pr.p + 2),
-		K: r.IntN(seq.Len(pr.p) + 2), // [0, 2^P]
+func (pr *SelfStab) RandomLeader(r *rand.Rand) core.Leader {
+	return counting.BST(r.IntN(pr.p+2), r.IntN(seq.Len(pr.p)+2))
+}
+
+// Leaders returns every leader state in the same domains, n-major: the
+// leader axis of the exhaustive arbitrary-leader checks.
+func (pr *SelfStab) Leaders() []core.Leader {
+	var ls []core.Leader
+	for n := 0; n <= pr.p+1; n++ {
+		for k := 0; k <= seq.Len(pr.p)+1; k++ {
+			ls = append(ls, counting.BST(n, k))
+		}
 	}
+	return ls
 }
 
 // RandomMobile returns an arbitrary mobile state in [0, P].
@@ -92,14 +82,16 @@ func (pr *SelfStab) RandomMobile(r *rand.Rand) core.State {
 
 // LeaderInteract implements core.LeaderProtocol: Protocol 1's update with
 // nLimit = P+1 and maxName = P, plus the reset line.
-func (pr *SelfStab) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
-	b := l.(ResetBST)
-	if b.N <= pr.p && (x == 0 || int(x) > b.N) { // line 2
-		n2, k2, x2 := counting.CountingStep(b.N, b.K, x, pr.p+1, pr.p)
-		return ResetBST{N: n2, K: k2}, x2
+func (pr *SelfStab) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	if counting.Guess(l) > pr.p && x == 0 { // line 11: naming failed; restart
+		return counting.BST(0, 0), x // line 12
 	}
-	if b.N > pr.p && x == 0 { // line 11: naming failed; restart
-		return ResetBST{}, x // line 12
-	}
-	return b, x
+	return pr.countStep(l, x)
+}
+
+// countStep is lines 2-10 of Protocol 2. CountingStep's guard (n < P+1 and
+// x = 0 or x > n) is line 2's, so a closed guard returns l unchanged.
+func (pr *SelfStab) countStep(l core.Leader, x core.State) (core.Leader, core.State) {
+	n2, k2, x2 := counting.CountingStep(counting.Guess(l), counting.Pointer(l), x, pr.p+1, pr.p)
+	return counting.BST(n2, k2), x2
 }

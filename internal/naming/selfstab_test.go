@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 	"popnaming/internal/explore"
 	"popnaming/internal/prng"
 	"popnaming/internal/sched"
@@ -60,17 +61,17 @@ func TestSelfStabNamesFullPopulation(t *testing.T) {
 // unnamed agent it meets once n exceeds P.
 func TestSelfStabResetLine(t *testing.T) {
 	pr := NewSelfStab(4)
-	l := ResetBST{N: 5, K: 11}
+	l := counting.BST(5, 11)
 	l2, x2 := pr.LeaderInteract(l, 0)
-	if got := l2.(ResetBST); got.N != 0 || got.K != 0 {
-		t.Fatalf("reset line: leader %v, want zeros", got)
+	if counting.Guess(l2) != 0 || counting.Pointer(l2) != 0 {
+		t.Fatalf("reset line: leader %v, want zeros", l2)
 	}
 	if x2 != 0 {
 		t.Fatalf("reset line must not rename the agent, got %d", x2)
 	}
 	// A named agent does not trigger the reset.
 	l3, x3 := pr.LeaderInteract(l, 2)
-	if !l3.Equal(l) || x3 != 2 {
+	if l3 != l || x3 != 2 {
 		t.Fatalf("named agent with oversized guess must be null, got %v %d", l3, x3)
 	}
 }
@@ -146,10 +147,10 @@ func TestSelfStabModelCheckWeakP4(t *testing.T) {
 func allSelfStabStarts(pr *SelfStab, n int) []*core.Config {
 	p := pr.P()
 	q := pr.States()
-	var leaders []core.LeaderState
+	var leaders []core.Leader
 	for nn := 0; nn <= p+1; nn++ {
 		for k := 0; k <= seq.Len(p)+1; k++ {
-			leaders = append(leaders, ResetBST{N: nn, K: k})
+			leaders = append(leaders, counting.BST(nn, k))
 		}
 	}
 	total := 1
@@ -192,11 +193,11 @@ func TestSelfStabRecoversFromCorruption(t *testing.T) {
 }
 
 func TestResetBSTLeaderState(t *testing.T) {
-	a := ResetBST{N: 1, K: 5}
-	if !a.Equal(a.Clone()) || a.Equal(ResetBST{N: 1, K: 6}) || a.Equal(nil) {
+	a := counting.BST(1, 5)
+	if c := a; c != a || a == counting.BST(1, 6) || a == (core.Leader{}) {
 		t.Error("bad equality semantics")
 	}
-	if a.Key() == (ResetBST{N: 5, K: 1}).Key() {
+	if string(a.AppendKey(nil)) == string(counting.BST(5, 1).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }
@@ -205,8 +206,8 @@ func TestSelfStabRandomLeaderInDomain(t *testing.T) {
 	pr := NewSelfStab(4)
 	r := prng.New(2)
 	for i := 0; i < 1000; i++ {
-		l := pr.RandomLeader(r).(ResetBST)
-		if l.N < 0 || l.N > 5 || l.K < 0 || l.K > seq.Len(4)+1 {
+		l := pr.RandomLeader(r)
+		if n, k := counting.Guess(l), counting.Pointer(l); n < 0 || n > 5 || k < 0 || k > seq.Len(4)+1 {
 			t.Fatalf("leader state out of domain: %v", l)
 		}
 	}

@@ -182,8 +182,9 @@ func (h *Histogram) Buckets() []HistBucket {
 // RuleKey identifies one concrete transition-rule firing. For
 // mobile-mobile interactions it is the full rule (x,y) -> (x',y');
 // leader-mobile interactions are keyed by the mobile peer's transition
-// only (the leader state space is unbounded), with Leader set and Y/Y2
-// unused.
+// only, with Leader set and Y/Y2 unused: the leader's registers span
+// far more values than |Q| (Protocol 1's pointer alone takes
+// 2^(P-1)+1), so per-leader-state keys would not aggregate.
 type RuleKey struct {
 	Leader bool
 	X, Y   core.State

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 	"popnaming/internal/naming"
 )
 
@@ -152,7 +153,7 @@ func (o *GlobalPOracle) Next(cfg *core.Config) (Step, bool) {
 	if cfg.N() != p {
 		panic(fmt.Sprintf("oracle: GlobalP oracle requires N = P = %d, got N = %d", p, cfg.N()))
 	}
-	b := cfg.Leader.(naming.PtrBST)
+	n, ptr := counting.Guess(cfg.Leader), naming.NamePtr(cfg.Leader)
 
 	// 1. Reduce non-zero homonyms.
 	if i, j, ok := homonymPair(cfg, 0); ok {
@@ -160,9 +161,9 @@ func (o *GlobalPOracle) Next(cfg *core.Config) (Step, bool) {
 	}
 
 	// 2. Drive the guess to P.
-	if b.N < p {
+	if n < p {
 		for i, s := range cfg.Mobile {
-			if int(s) > b.N {
+			if int(s) > n {
 				return Step{Pair: core.Pair{A: core.LeaderIndex, B: i}, Why: "jump"}, true
 			}
 		}
@@ -175,14 +176,14 @@ func (o *GlobalPOracle) Next(cfg *core.Config) (Step, bool) {
 	}
 
 	// 3. Pointer walk.
-	if b.NamePtr < p {
-		if i := indexWith(cfg, core.State(b.NamePtr)); i >= 0 {
+	if ptr < p {
+		if i := indexWith(cfg, core.State(ptr)); i >= 0 {
 			return Step{Pair: core.Pair{A: core.LeaderIndex, B: i}, Why: "walk"}, true
 		}
 		if i := indexWith(cfg, 0); i >= 0 {
 			return Step{Pair: core.Pair{A: core.LeaderIndex, B: i}, Why: "fill"}, true
 		}
-		panic(fmt.Sprintf("oracle: pointer %d missing with no unnamed agent in %s", b.NamePtr, cfg))
+		panic(fmt.Sprintf("oracle: pointer %d missing with no unnamed agent in %s", ptr, cfg))
 	}
 
 	// name_ptr = P and no homonyms: silent naming reached.

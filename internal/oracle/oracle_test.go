@@ -18,7 +18,7 @@ func TestSymGlobalOracleExhaustive(t *testing.T) {
 		for n := 3; n <= p; n++ {
 			pr := naming.NewSymGlobal(p)
 			bound := 4*n + 8
-			for _, start := range explore.AllConfigs(pr.States(), n, nil) {
+			for _, start := range explore.AllConfigs(pr.States(), n) {
 				cfg := start.Clone()
 				steps, silent := Drive(pr, NewSymGlobal(pr), cfg, bound)
 				if !silent || !cfg.ValidNaming() {

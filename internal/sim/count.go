@@ -407,7 +407,7 @@ func NewCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64) (*CountR
 // newCountRunner is NewCountRunner over p's already compiled table
 // (nil: compile it here).
 func newCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64, tab *core.Compiled) (*CountRunner, error) {
-	if core.HasLeader(p) != (cfg.Leader != nil) {
+	if core.HasLeader(p) != cfg.HasLeader() {
 		return nil, fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
 	}
 	if len(cfg.Counts) != p.States() {
@@ -522,7 +522,7 @@ func (r *CountRunner) step(oc *obs.Chunk) bool {
 	if r.lp != nil && r.rng.uint64n(uint64(r.n)+1) < 2 {
 		x := r.smp.draw(&r.rng)
 		l2, x2 := r.lp.LeaderInteract(r.Cfg.Leader, x)
-		changed := x2 != x || !l2.Equal(r.Cfg.Leader)
+		changed := x2 != x || l2 != r.Cfg.Leader
 		r.Cfg.Leader = l2
 		if x2 != x {
 			r.census.ApplyOne(x, x2)
@@ -661,8 +661,6 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 	}
 	cc := core.NewCountConfig(p.States())
 	cc.Counts[s] = n
-	if lp, ok := p.(core.LeaderProtocol); ok {
-		cc.Leader = lp.InitLeader()
-	}
+	cc.Leader = core.InitialLeader(p)
 	return cc
 }

@@ -250,7 +250,7 @@ func TestNewCountRunnerErrors(t *testing.T) {
 		pr   core.Protocol
 		cc   *core.CountConfig
 	}{
-		{"leader mismatch", pr, &core.CountConfig{Counts: []int{2, 0, 0}, Leader: nil}},
+		{"leader mismatch", pr, &core.CountConfig{Counts: []int{2, 0, 0}, Leader: core.Leader{}}},
 		{"length mismatch", pr, &core.CountConfig{Counts: []int{2, 0}}},
 		{"negative count", pr, &core.CountConfig{Counts: []int{2, -1, 0}}},
 		{"too small", pr, &core.CountConfig{Counts: []int{1, 0, 0}}},
@@ -260,7 +260,7 @@ func TestNewCountRunnerErrors(t *testing.T) {
 	// protocol with a leader state is awkward to fake, so test the
 	// protocol-with-leader side through the config having none — merge
 	// has no leader, so attach an impossible one via a non-nil Leader.
-	cases[0].cc.Leader = fakeLeader{}
+	cases[0].cc.Leader = fakeKind.New()
 	for _, c := range cases {
 		if _, err := NewCountRunner(c.pr, c.cc, 1); err == nil {
 			t.Errorf("%s: want error, got nil", c.name)
@@ -275,12 +275,7 @@ func TestNewCountRunnerErrors(t *testing.T) {
 	}
 }
 
-type fakeLeader struct{}
-
-func (fakeLeader) Clone() core.LeaderState       { return fakeLeader{} }
-func (fakeLeader) Equal(o core.LeaderState) bool { _, ok := o.(fakeLeader); return ok }
-func (fakeLeader) Key() string                   { return "fake" }
-func (fakeLeader) String() string                { return "fake" }
+var fakeKind = &core.LeaderKind{Name: "fake"}
 
 // TestCountRunnerInterrupt: the supervisor's interrupt stops a count
 // executor at its first slice boundary, before any interaction.
@@ -390,10 +385,10 @@ func TestStartTrial(t *testing.T) {
 	if cc := tr.Count; tr.Cfg != nil || cc.N() != 6 || cc.Counts[0] != 6 {
 		t.Fatalf("zero init trial = %+v", tr)
 	}
-	if tr.Count.Leader == nil {
+	if !tr.Count.HasLeader() {
 		t.Fatal("leader protocol start lost its leader")
 	}
-	if tr, err = StartTrial(pr, 6, "zero", false, 1); err != nil || tr.Count != nil || tr.Cfg.N() != 6 || tr.Cfg.Leader == nil {
+	if tr, err = StartTrial(pr, 6, "zero", false, 1); err != nil || tr.Count != nil || tr.Cfg.N() != 6 || !tr.Cfg.HasLeader() {
 		t.Fatalf("agent zero init = %+v, %v", tr, err)
 	}
 	for _, count := range []bool{false, true} {

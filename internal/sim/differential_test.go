@@ -42,10 +42,7 @@ func sameConfig(a, b *core.Config) bool {
 	if !reflect.DeepEqual(a.Mobile, b.Mobile) {
 		return false
 	}
-	if (a.Leader == nil) != (b.Leader == nil) {
-		return false
-	}
-	return a.Leader == nil || a.Leader.Key() == b.Leader.Key()
+	return a.Leader == b.Leader
 }
 
 // TestCompiledMatchesInterpreted drives a compiled and an interpreted

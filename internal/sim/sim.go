@@ -148,7 +148,7 @@ type Runner struct {
 // NewRunner returns a runner over the given protocol, scheduler and
 // starting configuration.
 func NewRunner(p core.Protocol, s sched.Scheduler, c *core.Config) *Runner {
-	if core.HasLeader(p) != (c.Leader != nil) {
+	if core.HasLeader(p) != c.HasLeader() {
 		panic(fmt.Sprintf("sim: protocol %q and configuration disagree about leader presence", p.Name()))
 	}
 	return &Runner{Proto: p, Sched: s, Cfg: c}
@@ -481,11 +481,7 @@ func UniformConfig(p core.Protocol, n int) *core.Config {
 	if up, ok := p.(core.UniformInitProtocol); ok {
 		s = up.InitMobile()
 	}
-	c := core.NewConfig(n, s)
-	if lp, ok := p.(core.LeaderProtocol); ok {
-		c.Leader = lp.InitLeader()
-	}
-	return c
+	return core.NewConfig(n, s).WithLeader(core.InitialLeader(p))
 }
 
 // ArbitraryConfig builds an adversarially initialized configuration: all
@@ -542,16 +538,10 @@ func StartTrial(p core.Protocol, n int, initKey string, count bool, seed int64) 
 		if count {
 			cc := core.NewCountConfig(p.States())
 			cc.Counts[0] = n
-			if lp, ok := p.(core.LeaderProtocol); ok {
-				cc.Leader = lp.InitLeader()
-			}
+			cc.Leader = core.InitialLeader(p)
 			return Trial{Count: cc}, nil
 		}
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := p.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return Trial{Cfg: cfg}, nil
+		return Trial{Cfg: core.NewConfig(n, 0).WithLeader(core.InitialLeader(p))}, nil
 	case "uniform":
 		if count {
 			return Trial{Count: UniformCountConfig(p, n)}, nil

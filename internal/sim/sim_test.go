@@ -102,7 +102,7 @@ func TestUniformConfigHonorsProtocol(t *testing.T) {
 			t.Fatalf("mobile state %d, want %d", s, il.InitMobile())
 		}
 	}
-	if cfg.Leader == nil || !cfg.Leader.Equal(il.InitLeader()) {
+	if !cfg.HasLeader() || cfg.Leader != il.InitLeader() {
 		t.Fatal("leader not initialized")
 	}
 
@@ -110,7 +110,7 @@ func TestUniformConfigHonorsProtocol(t *testing.T) {
 	// no leader.
 	asym := naming.NewAsymmetric(5)
 	cfg2 := UniformConfig(asym, 4)
-	if cfg2.Leader != nil {
+	if cfg2.HasLeader() {
 		t.Fatal("unexpected leader")
 	}
 	for _, s := range cfg2.Mobile {
@@ -128,10 +128,10 @@ func TestArbitraryConfigLeaderPolicy(t *testing.T) {
 	sawNonInit := false
 	for i := 0; i < 50; i++ {
 		cfg := ArbitraryConfig(ss, 4, r)
-		if cfg.Leader == nil {
+		if !cfg.HasLeader() {
 			t.Fatal("missing leader")
 		}
-		if !cfg.Leader.Equal(ss.InitLeader()) {
+		if cfg.Leader != ss.InitLeader() {
 			sawNonInit = true
 		}
 	}
@@ -143,14 +143,14 @@ func TestArbitraryConfigLeaderPolicy(t *testing.T) {
 	gp := naming.NewGlobalP(4)
 	for i := 0; i < 10; i++ {
 		cfg := ArbitraryConfig(gp, 4, r)
-		if !cfg.Leader.Equal(gp.InitLeader()) {
+		if cfg.Leader != gp.InitLeader() {
 			t.Fatal("Protocol 3 leader must be initialized")
 		}
 	}
 
 	// Leaderless.
 	cfg := ArbitraryConfig(naming.NewAsymmetric(4), 4, r)
-	if cfg.Leader != nil {
+	if cfg.HasLeader() {
 		t.Fatal("unexpected leader on leaderless protocol")
 	}
 }
