@@ -24,10 +24,10 @@ SERVE_BENCH = BenchmarkServeLoad
 TRACE_BENCH = BenchmarkSpanEmit|BenchmarkSpanEmitJournal|BenchmarkSupervisedNilTrace|BenchmarkSupervisedTraced
 
 # Count-engine benchmarks gating the large-N scaling claims: per-step
-# cost flat in N against the agent engine's baseline, plus the
-# fenwick-vs-alias sampler head-to-head that picks the "auto" default
-# (see DESIGN.md "Count-based engine" and EXPERIMENTS.md).
-COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountSampler|BenchmarkAliasRebuild
+# cost in N against the agent engine's baseline, plus the cost of one
+# jump-chain event across |Q| (see DESIGN.md "The count-based engine"
+# and EXPERIMENTS.md).
+COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountEvent
 
 # Durability benchmarks gating the job-store claims: WAL append vs the
 # fsync-bearing finalize, boot-time replay scaling with log size, and
@@ -167,9 +167,9 @@ bench-trace:
 	$(GO) test -json -run='TestSupervisedNilTraceAllocs' -bench='$(TRACE_BENCH)' -benchmem -count=3 ./internal/obs ./internal/sim > BENCH_PR6.json
 	@echo "wrote BENCH_PR6.json ($$(wc -l < BENCH_PR6.json) events)"
 
-# bench-count runs the count-engine scaling and sampler benchmarks and
-# writes the go-test JSON stream to BENCH_PR7.json. The scale series
-# must stay flat: steps/sec within 2x across N = 10^4..10^8.
+# bench-count runs the count-engine scaling and event benchmarks and
+# writes the go-test JSON stream to BENCH_PR7.json. Per-event cost
+# stays flat in N (TestCountScaleFlatness holds E24 to 2x).
 bench-count:
 	$(GO) test -json -run='^$$' -bench='$(COUNT_BENCH)' -benchmem -count=3 ./internal/sim > BENCH_PR7.json
 	@echo "wrote BENCH_PR7.json ($$(wc -l < BENCH_PR7.json) events)"

@@ -17,7 +17,7 @@
 //	experiments oracle         constructive proof schedules (E21)
 //	experiments stabilize      multi-epoch fault injection / re-convergence (E22)
 //	experiments countdiff      count vs agent engine KS differential (E23)
-//	experiments countscale     count-engine throughput at N = 10^3…10^8 (E24)
+//	experiments countscale     count-engine cost at N = 10^3…10^8 (E24)
 //	experiments all            everything above
 //
 // -engine selects the execution engine the suite may assume: "agent"
@@ -39,7 +39,8 @@
 //
 // Observability (see docs/observability.md): -journal records one
 // "experiment" line per experiment run (plus "fault" lines from the
-// stabilize experiment), -metrics prints the timing table,
+// stabilize experiment), -metrics prints the timing table (and E24's
+// wall-clock columns, which stay out of the seeded output),
 // -progress-every 1 announces each experiment on stderr as it
 // completes, and -pprof captures CPU/heap profiles. The seed actually
 // used is always reported, including when -seed 0 auto-derives one.
@@ -508,6 +509,10 @@ func main() {
 	}
 	if *metrics {
 		sr.dump(seedOut)
+		if out.CountScale != nil {
+			fmt.Fprintln(seedOut)
+			experiments.RenderCountScaleTimings(seedOut, *out.CountScale)
+		}
 	}
 	if closeJournal != nil {
 		if err := closeJournal(); err != nil {

@@ -31,8 +31,7 @@
 // large-N scaling regime). The count engine knows no agent identities,
 // so it is restricted to -sched random and -init zero|uniform and
 // rejects -faults (admission names the incompatible feature), -audit
-// and -adversary; -sampler picks the state sampler (auto | fenwick |
-// alias).
+// and -adversary.
 //
 // Fault injection and supervision (see docs/robustness.md): -faults
 // takes a fault-plan string (events "@step:kind=arg" or
@@ -81,7 +80,6 @@ type options struct {
 	sched    string
 	init     string
 	engine   string
-	sampler  string
 	seed     int64
 	derived  bool
 	budget   int
@@ -107,7 +105,6 @@ func main() {
 		schedKey = flag.String("sched", "random", "scheduler: random | roundrobin | matching | eclipse")
 		initKey  = flag.String("init", "zero", "initialization: zero | uniform | arbitrary")
 		engine   = flag.String("engine", "compiled", "execution engine: compiled | interp | count")
-		sampler  = flag.String("sampler", "auto", "count-engine state sampler: auto | fenwick | alias")
 		seed     = flag.Int64("seed", 1, "random seed (0: auto-derive from the clock; the seed used is printed)")
 		budget   = flag.Int("budget", 50_000_000, "max interactions")
 		audit    = flag.Bool("audit", false, "audit the played schedule for weak fairness")
@@ -135,7 +132,7 @@ func main() {
 	}
 	o := options{
 		proto: *protoKey, p: *p, n: *n, sched: *schedKey, init: *initKey, engine: *engine,
-		sampler: *sampler, seed: *seed,
+		seed:   *seed,
 		budget: *budget, audit: *audit, adv: *adv, hidden: *hidden, hide: *hide,
 		faults: *faults, deadline: *deadline, retries: *retries, stall: *stall,
 		journal: *journal, metrics: *metrics, progress: *progress, pprof: *pprofPfx,
@@ -165,13 +162,9 @@ func (o *options) spec() serve.Spec {
 		// Round up, so any positive -deadline stays a deadline.
 		DeadlineMS: int64((o.deadline + time.Millisecond - 1) / time.Millisecond),
 	}
-	switch {
-	case o.engine == "count":
-		sp.Engine, sp.Sampler = "count", o.sampler
-	case o.sampler != "auto":
-		sp.Sampler = o.sampler // admission: count-engine jobs only
-	}
-	if o.engine != "count" && (o.sched == "eclipse" || o.adv) {
+	if o.engine == "count" {
+		sp.Engine = "count"
+	} else if o.sched == "eclipse" || o.adv {
 		sp.Sched = "random"
 	}
 	return sp
@@ -261,8 +254,8 @@ func execute(o options, pj *serve.Prepared) (err error) {
 	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
 		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
 	if sp.Engine == "count" {
-		fmt.Printf("population N=%d, engine count (sampler %s), init %s, seed %d%s\n",
-			o.n, o.sampler, sp.Init, o.seed, seedNote(o.derived))
+		fmt.Printf("population N=%d, engine count, init %s, seed %d%s\n",
+			o.n, sp.Init, o.seed, seedNote(o.derived))
 	} else {
 		if o.eclipse() {
 			hdr.Scheduler = "eclipse"

@@ -57,7 +57,7 @@ func stripWall(b []byte) []byte { return wallClock.ReplaceAll(b, []byte("<wall>"
 func countOpts() options {
 	return options{
 		proto: "asym", p: 12, n: 10, sched: "random", init: "zero",
-		engine: "count", sampler: "auto", budget: 1_000_000, seed: 7,
+		engine: "count", budget: 1_000_000, seed: 7,
 	}
 }
 
@@ -83,7 +83,6 @@ func TestCountIncompatibility(t *testing.T) {
 		{"matching", func(o *options) { o.sched = "matching" }, "sched:matching", "random scheduler"},
 		{"eclipse", func(o *options) { o.sched = "eclipse" }, "sched:eclipse", "random scheduler"},
 		{"arbitrary", func(o *options) { o.init = "arbitrary" }, "init:arbitrary", "agent array"},
-		{"badsampler", func(o *options) { o.sampler = "vose" }, "", `unknown sampler "vose"`},
 	}
 	for _, c := range cases {
 		o := countOpts()
@@ -100,11 +99,9 @@ func TestCountIncompatibility(t *testing.T) {
 			t.Errorf("%s: feature = %q, want %q", c.name, se.Feature, c.feature)
 		}
 	}
-	// uniform init, the explicit samplers and supervision stay accepted.
+	// uniform init and supervision stay accepted.
 	for _, ok := range []func(*options){
 		func(o *options) { o.init = "uniform" },
-		func(o *options) { o.sampler = "fenwick" },
-		func(o *options) { o.sampler = "alias" },
 		func(o *options) { o.deadline = 1 },
 		func(o *options) { o.retries = 1 },
 		func(o *options) { o.stall = 10 },

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Census tracks, for one evolving configuration, the number of mobile
 // agents per state plus an activePairs counter: the number of ordered
@@ -11,69 +14,59 @@ import "fmt"
 // 0, an O(1) counter check instead of an O(n²) scan over agent pairs
 // with an interface call each. Per applied transition the counts update
 // in O(1); the activePairs counter is touched only when a state's
-// occupancy crosses the 0↔1 or 1↔2 boundary, costing one null-bitset
-// row-and-column walk (≤ 2|Q| bit tests) in those rare steps and
-// nothing otherwise.
+// occupancy crosses the 0↔1 or 1↔2 boundary. A 0↔1 crossing of s
+// counts s's occupied non-null partners by intersecting its compiled
+// row and column bitsets with an occupancy mask: one popcount per
+// 64 states.
 //
 // A Census belongs to one runner; it is not safe for concurrent use.
 type Census struct {
 	tab    *Compiled
 	counts []int
+	occ    []uint64 // bit s set iff counts[s] > 0
 	active int
 }
 
 // NewCensus builds the census of cfg's mobile states against a compiled
 // table. It rejects configurations holding states outside [0, |Q|).
 func NewCensus(tab *Compiled, cfg *Config) (*Census, error) {
-	cs := &Census{tab: tab, counts: make([]int, tab.States())}
-	q := tab.States()
-	for i, s := range cfg.Mobile {
-		if s < 0 || int(s) >= q {
-			return nil, fmt.Errorf("core: census: agent %d holds state %d outside [0,%d)", i, s, q)
-		}
-		cs.counts[s]++
+	cs := &Census{tab: tab, counts: make([]int, tab.States()), occ: make([]uint64, tab.words)}
+	if err := cs.Resync(cfg); err != nil {
+		return nil, err
 	}
-	cs.active = cs.recount()
 	return cs, nil
 }
 
-// NewCensusCounts builds a census directly over an occupancy vector,
-// sharing the slice: every Apply/ApplyOne flows back into counts, so a
-// CountConfig and its census stay in lockstep without copying. This is
-// the count engine's entry point — it never materializes an agent
-// array. len(counts) must equal tab.States() and counts must be
-// non-negative.
-func NewCensusCounts(tab *Compiled, counts []int) (*Census, error) {
-	if len(counts) != tab.States() {
-		return nil, fmt.Errorf("core: census: counts length %d != states %d", len(counts), tab.States())
+// recount recomputes the occupancy mask and activePairs from scratch.
+func (cs *Census) recount() {
+	for i := range cs.occ {
+		cs.occ[i] = 0
 	}
-	for s, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("core: census: negative count %d for state %d", c, s)
+	for s, c := range cs.counts {
+		if c > 0 {
+			cs.occ[s>>6] |= 1 << (s & 63)
 		}
 	}
-	cs := &Census{tab: tab, counts: counts}
-	cs.active = cs.recount()
-	return cs, nil
-}
-
-// recount recomputes activePairs from scratch (O(occupied²) bit tests).
-func (cs *Census) recount() int {
 	active := 0
 	for x, cx := range cs.counts {
 		if cx == 0 {
 			continue
 		}
-		for y, cy := range cs.counts {
-			if cy == 0 || (x == y && cx < 2) {
-				continue
-			}
-			if !cs.tab.Null(State(x), State(y)) {
-				active++
-			}
+		active += cs.occupied(cs.tab.Row(State(x)))
+		if cx < 2 && !cs.tab.Null(State(x), State(x)) {
+			active-- // the diagonal pair needs two agents
 		}
 	}
-	return active
+	cs.active = active
+}
+
+// occupied counts the occupied states in a row or column bitset.
+func (cs *Census) occupied(set []uint64) int {
+	n := 0
+	for i, w := range set {
+		n += bits.OnesCount64(w & cs.occ[i])
+	}
+	return n
 }
 
 // Resync rebuilds the census from cfg after an external mutation (for
@@ -86,7 +79,7 @@ func (cs *Census) Resync(cfg *Config) error {
 	q := cs.tab.States()
 	for i, s := range cfg.Mobile {
 		if s < 0 || int(s) >= q {
-			return fmt.Errorf("core: census resync: agent %d holds state %d outside [0,%d)", i, s, q)
+			return fmt.Errorf("core: census: agent %d holds state %d outside [0,%d)", i, s, q)
 		}
 	}
 	for i := range cs.counts {
@@ -95,7 +88,7 @@ func (cs *Census) Resync(cfg *Config) error {
 	for _, s := range cfg.Mobile {
 		cs.counts[s]++
 	}
-	cs.active = cs.recount()
+	cs.recount()
 	return nil
 }
 
@@ -132,17 +125,8 @@ func (cs *Census) add(s State) {
 	case 1:
 		// s became occupied: pairs (s, y) and (y, s) against every other
 		// occupied state become schedulable.
-		for y, cy := range cs.counts {
-			if cy == 0 || y == i {
-				continue
-			}
-			if !cs.tab.Null(s, State(y)) {
-				cs.active++
-			}
-			if !cs.tab.Null(State(y), s) {
-				cs.active++
-			}
-		}
+		cs.active += cs.occupied(cs.tab.Row(s)) + cs.occupied(cs.tab.Col(s))
+		cs.occ[i>>6] |= 1 << (i & 63)
 	case 2:
 		// The diagonal pair (s, s) needs two agents.
 		if !cs.tab.Null(s, s) {
@@ -157,17 +141,8 @@ func (cs *Census) remove(s State) {
 	case 0:
 		panic(fmt.Sprintf("core: census underflow for state %d", s))
 	case 1:
-		for y, cy := range cs.counts {
-			if cy == 0 || y == i {
-				continue
-			}
-			if !cs.tab.Null(s, State(y)) {
-				cs.active--
-			}
-			if !cs.tab.Null(State(y), s) {
-				cs.active--
-			}
-		}
+		cs.occ[i>>6] &^= 1 << (i & 63)
+		cs.active -= cs.occupied(cs.tab.Row(s)) + cs.occupied(cs.tab.Col(s))
 	case 2:
 		if !cs.tab.Null(s, s) {
 			cs.active--

@@ -7,7 +7,10 @@ import "fmt"
 // pairs. The simulation hot loop then costs two array loads per
 // interaction instead of an interface call with per-step arithmetic,
 // and the null-pair bitset lets silence detection reason about state
-// pairs without re-evaluating the transition function.
+// pairs without re-evaluating the transition function. Per state, the
+// non-null pairs are also kept as row and column bitsets, so code that
+// tracks which pairs can react (the census, the count engine's event
+// weights) touches only a state's non-null partners.
 //
 // A Compiled is immutable after Compile returns and is safe for
 // concurrent use by any number of runners (batch trials share one).
@@ -27,6 +30,10 @@ type Compiled struct {
 	// null is a bitset over the same index space: bit set iff the pair
 	// (x, y) is a null transition.
 	null []uint64
+	// row and col hold one words-long bitset per state: bit y of x's
+	// row, and bit x of y's column, is set iff (x, y) is non-null.
+	words    int
+	row, col []uint64
 }
 
 // Compile precomputes the mobile-mobile transition table of p and
@@ -40,12 +47,16 @@ func Compile(p Protocol) (*Compiled, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("core: compile %q: non-positive state count %d", p.Name(), q)
 	}
+	words := (q + 63) / 64
 	c := &Compiled{
-		src:  p,
-		q:    q,
-		outA: make([]State, q*q),
-		outB: make([]State, q*q),
-		null: make([]uint64, (q*q+63)/64),
+		src:   p,
+		q:     q,
+		outA:  make([]State, q*q),
+		outB:  make([]State, q*q),
+		null:  make([]uint64, (q*q+63)/64),
+		words: words,
+		row:   make([]uint64, q*words),
+		col:   make([]uint64, q*words),
 	}
 	c.lp, _ = p.(LeaderProtocol)
 	for x := 0; x < q; x++ {
@@ -64,6 +75,9 @@ func Compile(p Protocol) (*Compiled, error) {
 			c.outB[idx] = y2
 			if int(x2) == x && int(y2) == y {
 				c.null[idx>>6] |= 1 << (idx & 63)
+			} else {
+				c.row[x*words+(y>>6)] |= 1 << (y & 63)
+				c.col[y*words+(x>>6)] |= 1 << (x & 63)
 			}
 		}
 	}
@@ -145,4 +159,18 @@ func (c *Compiled) Null(x, y State) bool {
 // NullAt is Null by flat table index.
 func (c *Compiled) NullAt(idx int) bool {
 	return c.null[idx>>6]&(1<<(idx&63)) != 0
+}
+
+// Row returns the bitset of states y for which (x, y) is non-null. The
+// slice aliases the table and must not be written.
+func (c *Compiled) Row(x State) []uint64 {
+	i := int(x) * c.words
+	return c.row[i : i+c.words : i+c.words]
+}
+
+// Col returns the bitset of states x for which (x, y) is non-null. The
+// slice aliases the table and must not be written.
+func (c *Compiled) Col(y State) []uint64 {
+	i := int(y) * c.words
+	return c.col[i : i+c.words : i+c.words]
 }

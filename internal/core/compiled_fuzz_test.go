@@ -6,7 +6,8 @@ import "testing"
 // right-hand sides escape the state space and wrappers whose Symmetric()
 // claim contradicts the rules — and checks that Compile accepts exactly
 // the well-formed ones. On success the dense table must agree pointwise
-// with the interface protocol, including the null bitset.
+// with the interface protocol, including the null bitset and the
+// per-state row and column bitsets.
 //
 // RuleTable recomputes its symmetry flag on every Add, so its claim is
 // always truthful; a lyingProtocol wrapper negating it is therefore
@@ -57,8 +58,14 @@ func FuzzCompile(f *testing.F) {
 				if gx != wx || gy != wy {
 					t.Fatalf("(%d,%d): compiled (%d,%d), interface (%d,%d)", x, y, gx, gy, wx, wy)
 				}
-				if c.Null(State(x), State(y)) != IsNullMobile(rt, State(x), State(y)) {
+				null := IsNullMobile(rt, State(x), State(y))
+				if c.Null(State(x), State(y)) != null {
 					t.Fatalf("(%d,%d): null bitset disagrees with IsNullMobile", x, y)
+				}
+				inRow := c.Row(State(x))[y>>6]&(1<<(y&63)) != 0
+				inCol := c.Col(State(y))[x>>6]&(1<<(x&63)) != 0
+				if inRow == null || inCol == null {
+					t.Fatalf("(%d,%d): row %v / column %v bitsets disagree with null=%v", x, y, inRow, inCol, null)
 				}
 			}
 		}

@@ -140,38 +140,3 @@ func TestCountConfigCloneAndValidate(t *testing.T) {
 		t.Error("UniformCountConfig with out-of-range state: want error")
 	}
 }
-
-func TestCensusCountsShared(t *testing.T) {
-	// A census built over a CountConfig's slice must mutate it in place.
-	pr := censusProto() // only (0, 1) is non-null, rewriting both to 2
-	tab, err := Compile(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := NewCountConfig(pr.States())
-	cc.Counts[0], cc.Counts[1] = 1, 1
-	cs, err := NewCensusCounts(tab, cc.Counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Silent(Leader{}) {
-		t.Fatal("{0:1 1:1} census config should not be silent")
-	}
-	cs.Apply(0, 1, 2, 2)
-	if cc.Counts[0] != 0 || cc.Counts[1] != 0 || cc.Counts[2] != 2 {
-		t.Errorf("shared counts not updated: %v", cc.Counts)
-	}
-	if cc.N() != 2 {
-		t.Errorf("population not conserved: %d", cc.N())
-	}
-	if !cs.Silent(Leader{}) {
-		t.Error("all-2 configuration must be silent")
-	}
-
-	if _, err := NewCensusCounts(tab, []int{1}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	if _, err := NewCensusCounts(tab, []int{1, -1, 0}); err == nil {
-		t.Error("negative count: want error")
-	}
-}

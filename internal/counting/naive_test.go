@@ -40,11 +40,7 @@ func TestNaiveFailsModelCheck(t *testing.T) {
 	pr := NewNaive(p)
 	failed := false
 	for n := 1; n <= p && !failed; n++ {
-		var starts []*core.Config
-		for _, c := range allNaiveStarts(pr, n) {
-			starts = append(starts, c)
-		}
-		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 18})
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, pr.InitLeader()), explore.Options{MaxNodes: 1 << 18})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,23 +56,4 @@ func TestNaiveFailsModelCheck(t *testing.T) {
 	if !failed {
 		t.Fatal("naive variant unexpectedly counts correctly at P=3; ablation void")
 	}
-}
-
-func allNaiveStarts(pr *NaiveVariant, n int) []*core.Config {
-	q := pr.States()
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
-	}
-	out := make([]*core.Config, 0, total)
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		out = append(out, core.NewConfigStates(states...).WithLeader(pr.InitLeader()))
-	}
-	return out
 }

@@ -186,7 +186,7 @@ func TestModelCheckCounting(t *testing.T) {
 	const p = 3
 	pr := New(p)
 	for n := 1; n <= p; n++ {
-		starts := allMobileStarts(pr, n)
+		starts := explore.AllConfigs(pr.States(), n, pr.InitLeader())
 		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 18})
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
@@ -208,7 +208,7 @@ func TestModelCheckNamingBelowP(t *testing.T) {
 	const p = 3
 	pr := New(p)
 	for n := 1; n < p; n++ {
-		g, err := explore.Build(pr, allMobileStarts(pr, n), explore.Options{MaxNodes: 1 << 18})
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, pr.InitLeader()), explore.Options{MaxNodes: 1 << 18})
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -223,7 +223,7 @@ func TestModelCheckNamingBelowP(t *testing.T) {
 func TestModelCheckNamingFailsAtP(t *testing.T) {
 	const p = 3
 	pr := New(p)
-	g, err := explore.Build(pr, allMobileStarts(pr, p), explore.Options{MaxNodes: 1 << 18})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), p, pr.InitLeader()), explore.Options{MaxNodes: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,27 +232,6 @@ func TestModelCheckNamingFailsAtP(t *testing.T) {
 		t.Fatal("Protocol 1 unexpectedly names at N = P")
 	}
 	t.Logf("witness: %s", verdict)
-}
-
-// allMobileStarts enumerates every mobile configuration with the
-// initialized leader attached.
-func allMobileStarts(pr *Protocol1, n int) []*core.Config {
-	q := pr.States()
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
-	}
-	out := make([]*core.Config, 0, total)
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		out = append(out, core.NewConfigStates(states...).WithLeader(pr.InitLeader()))
-	}
-	return out
 }
 
 // TestLeaderStateSemantics covers the BST value-type contract.

@@ -170,23 +170,27 @@ func RenderCountDiff(w io.Writer, points []CountDiffPoint) {
 }
 
 // CountScalePoint is one rung of the large-N throughput ladder.
+// Steps and NonNull are seeded counts; WallNS and the rates derived
+// from it are wall-clock measurements.
 type CountScalePoint struct {
 	N           int
 	Steps       int
+	NonNull     int
 	WallNS      int64
 	StepsPerSec float64
+	// NSPerEvent is the wall time per non-null transition: the count
+	// engine's unit of work, since it skips null interactions in bulk.
+	NSPerEvent float64
 }
 
-// CountScaleResult is experiment E24's outcome: count-engine throughput
+// CountScaleResult is experiment E24's outcome: count-engine cost
 // across population decades on a never-silent workload. FlatnessRatio
-// is max/min steps-per-sec over the rungs with N >= 10^4 (the smaller
-// rungs fit the counts in a cache line and run atypically hot); the
-// engine's whole point is that this ratio stays near 1 while N grows by
-// four orders of magnitude.
+// is max/min ns per non-null transition over the rungs with N >= 10^4,
+// the range the 2x claim covers; the engine's whole point is that this
+// ratio stays near 1 while N grows by four orders of magnitude.
 type CountScaleResult struct {
 	Protocol      string
 	States        int
-	Sampler       string
 	Points        []CountScalePoint
 	FlatnessRatio float64
 }
@@ -195,10 +199,8 @@ type CountScaleResult struct {
 type CountScaleOptions struct {
 	// Sizes lists the population rungs (default 10^3 … 10^8).
 	Sizes []int
-	// Steps is the fixed interaction budget timed per rung (default 2M).
+	// Steps is the fixed interaction budget timed per rung (default 20M).
 	Steps int
-	// Sampler selects the count sampler (default "auto").
-	Sampler string
 	// Seed seeds each rung's runner.
 	Seed int64
 }
@@ -208,69 +210,90 @@ func (o *CountScaleOptions) fill() {
 		o.Sizes = []int{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 	}
 	if o.Steps == 0 {
-		o.Steps = 2_000_000
-	}
-	if o.Sampler == "" {
-		o.Sampler = "auto"
+		o.Steps = 20_000_000
 	}
 }
 
-// CountScale measures count-engine throughput at populations the agent
+// CountScale measures count-engine cost at populations the agent
 // engine cannot represent (an agent array at N = 10^8 is 800 MB before
 // the first interaction). The workload is the asymmetric naming
-// protocol at P=12 started all-zero: with N > P a valid naming is
-// impossible by pigeonhole, homonym pairs always react, and the run
-// never goes silent — every rung times exactly Steps interactions.
+// protocol at P=12 with the N agents spread evenly over the 12 names:
+// with N > P a valid naming is impossible by pigeonhole, homonym pairs
+// always react, and the run never goes silent — every rung runs
+// exactly Steps interactions. The even spread gives every rung the
+// same shape (about one interaction in 12 is non-null), so the rungs
+// differ in N alone; an all-zero start would instead stay nearly all
+// homonyms for the whole budget at N = 10^8 but not at N = 10^4.
 func CountScale(opts CountScaleOptions) CountScaleResult {
 	opts.fill()
 	pr := naming.NewAsymmetric(12)
-	res := CountScaleResult{Protocol: pr.Name(), States: pr.States(), Sampler: opts.Sampler}
-	minRate, maxRate := 0.0, 0.0
+	q := pr.States()
+	res := CountScaleResult{Protocol: pr.Name(), States: q}
+	minCost, maxCost := 0.0, 0.0
 	for _, n := range opts.Sizes {
-		cc := core.NewCountConfig(pr.States())
-		cc.Counts[0] = n
-		pt := CountScalePoint{N: n, Steps: opts.Steps}
+		cc := core.NewCountConfig(q)
+		for s := range cc.Counts {
+			cc.Counts[s] = n / q
+			if s < n%q {
+				cc.Counts[s]++
+			}
+		}
+		pt := CountScalePoint{N: n}
 		r, err := sim.NewCountRunner(pr, cc, opts.Seed)
 		if err != nil {
-			// Out-of-bounds rung (N past the overflow guard): record a
-			// zero-throughput point rather than dying mid-ladder.
+			// Out-of-bounds rung (N past the overflow guard): record an
+			// empty point rather than dying mid-ladder.
 			res.Points = append(res.Points, pt)
 			continue
 		}
-		r.Sampler = opts.Sampler
 		start := time.Now()
-		run, err := r.Run(opts.Steps)
+		run := r.Run(opts.Steps)
 		pt.WallNS = time.Since(start).Nanoseconds()
-		if err == nil && pt.WallNS > 0 {
-			pt.Steps = run.Steps
+		pt.Steps, pt.NonNull = run.Steps, run.NonNull
+		if pt.WallNS > 0 {
 			pt.StepsPerSec = float64(run.Steps) / (float64(pt.WallNS) / 1e9)
 		}
-		if n >= 1e4 && pt.StepsPerSec > 0 {
-			if minRate == 0 || pt.StepsPerSec < minRate {
-				minRate = pt.StepsPerSec
+		if run.NonNull > 0 {
+			pt.NSPerEvent = float64(pt.WallNS) / float64(run.NonNull)
+		}
+		if n >= 1e4 && pt.NSPerEvent > 0 {
+			if minCost == 0 || pt.NSPerEvent < minCost {
+				minCost = pt.NSPerEvent
 			}
-			if pt.StepsPerSec > maxRate {
-				maxRate = pt.StepsPerSec
+			if pt.NSPerEvent > maxCost {
+				maxCost = pt.NSPerEvent
 			}
 		}
 		res.Points = append(res.Points, pt)
 	}
-	if minRate > 0 {
-		res.FlatnessRatio = maxRate / minRate
+	if minCost > 0 {
+		res.FlatnessRatio = maxCost / minCost
 	}
 	return res
 }
 
-// RenderCountScale prints E24.
+// RenderCountScale prints E24's seeded part: interactions and non-null
+// transitions per rung, the same bytes for the same seed.
 func RenderCountScale(w io.Writer, res CountScaleResult) {
 	tab := report.NewTable(
-		fmt.Sprintf("E24 — count-engine throughput vs N (%s, sampler %s)", res.Protocol, res.Sampler),
-		"N", "interactions", "wall", "steps/sec")
+		fmt.Sprintf("E24 — count engine vs N (%s)", res.Protocol),
+		"N", "interactions", "non-null")
 	for _, p := range res.Points {
-		tab.AddRowf(p.N, p.Steps,
-			time.Duration(p.WallNS).Round(time.Millisecond),
-			fmt.Sprintf("%.3g", p.StepsPerSec))
+		tab.AddRowf(p.N, p.Steps, p.NonNull)
 	}
 	tab.Render(w)
-	fmt.Fprintf(w, "\nthroughput flatness (max/min steps/sec, N >= 1e4): %.2fx\n", res.FlatnessRatio)
+}
+
+// RenderCountScaleTimings prints E24's wall-clock part: time, rate and
+// cost per non-null transition per rung, and the flatness ratio.
+func RenderCountScaleTimings(w io.Writer, res CountScaleResult) {
+	tab := report.NewTable(
+		fmt.Sprintf("E24 timings — count engine vs N (%s)", res.Protocol),
+		"N", "wall", "steps/sec", "ns/transition")
+	for _, p := range res.Points {
+		tab.AddRowf(p.N, time.Duration(p.WallNS).Round(time.Millisecond),
+			fmt.Sprintf("%.3g", p.StepsPerSec), fmt.Sprintf("%.1f", p.NSPerEvent))
+	}
+	tab.Render(w)
+	fmt.Fprintf(w, "\ncost flatness (max/min ns per transition, N >= 1e4): %.2fx\n", res.FlatnessRatio)
 }

@@ -31,7 +31,7 @@ func Suite() []SuiteEntry {
 		{"oracle", "E21", "constructive proof schedules"},
 		{"stabilize", "E22", "multi-epoch fault injection / re-convergence"},
 		{"countdiff", "E23", "count vs agent engine KS differential"},
-		{"countscale", "E24", "count-engine throughput at N = 10^3...10^8"},
+		{"countscale", "E24", "count-engine cost at N = 10^3...10^8"},
 	}
 }
 

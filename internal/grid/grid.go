@@ -52,14 +52,13 @@ type Spec struct {
 	// to 10; Budget 0 selects the service default; Workers is the
 	// per-cell trial parallelism and defaults to 1, the deterministic
 	// choice (record order across trials follows worker scheduling).
-	Trials        int    `json:"trials,omitempty"`
-	Budget        int    `json:"budget,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Stall         int    `json:"stall,omitempty"`
-	Retries       int    `json:"retries,omitempty"`
-	DeadlineMS    int64  `json:"deadlineMs,omitempty"`
-	ProgressEvery int    `json:"progressEvery,omitempty"`
-	Sampler       string `json:"sampler,omitempty"`
+	Trials        int   `json:"trials,omitempty"`
+	Budget        int   `json:"budget,omitempty"`
+	Workers       int   `json:"workers,omitempty"`
+	Stall         int   `json:"stall,omitempty"`
+	Retries       int   `json:"retries,omitempty"`
+	DeadlineMS    int64 `json:"deadlineMs,omitempty"`
+	ProgressEvery int   `json:"progressEvery,omitempty"`
 
 	// Seed is the campaign master seed; 0 derives one from the clock
 	// (resolved exactly once, at Parse, and recorded so the run stays
@@ -149,13 +148,6 @@ func (sp *Spec) normalize() error {
 		for _, f := range sp.Faults {
 			if f != "" {
 				return fmt.Errorf("grid: engine \"count\" cannot combine with fault plan %q (faults target individual agents); split the grid", f)
-			}
-		}
-	}
-	if sp.Sampler != "" {
-		for _, e := range sp.Engines {
-			if e != "count" {
-				return fmt.Errorf("grid: sampler applies to the count engine only (engines axis has %q)", e)
 			}
 		}
 	}
@@ -252,7 +244,6 @@ func (sp *Spec) JobSpec(c Cell) serve.Spec {
 		Sched:         c.Sched,
 		Init:          c.Init,
 		Engine:        engine,
-		Sampler:       sp.Sampler,
 		Seed:          c.Seed,
 		Budget:        sp.Budget,
 		Trials:        sp.Trials,

@@ -51,12 +51,18 @@ func TestParseStrict(t *testing.T) {
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4},{"p":6,"n":4}]}`,    // dup population
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":-1}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"faults":["@1:corrupt=1"]}`,
-		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"sampler":"alias"}`, // sampler on agent engine
+		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"sampler":"alias"}`, // retired count-sampler knob
 	}
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("Parse accepted %s", src)
 		}
+	}
+	// The retired knob is an unknown field on count grids too, and the
+	// error names it.
+	src := `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"sampler":"alias"}`
+	if _, err := Parse(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), `"sampler"`) {
+		t.Errorf("count grid with sampler: error %v, want one naming the field", err)
 	}
 	// Count cells take supervision like agent cells.
 	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2}`)

@@ -133,7 +133,7 @@ func TestAsymmetricModelCheckWeak(t *testing.T) {
 	const p = 3
 	pr := NewAsymmetric(p)
 	for n := 2; n <= p; n++ {
-		starts := allLeaderlessStarts(p, n)
+		starts := explore.AllConfigs(p, n)
 		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 18})
 		if err != nil {
 			t.Fatal(err)
@@ -181,24 +181,4 @@ func TestAsymmetricDegenerateP1(t *testing.T) {
 	if !core.Silent(pr, cfg) {
 		t.Error("single-agent P=1 config should be silent")
 	}
-}
-
-// allLeaderlessStarts enumerates every configuration of n agents over
-// q = States(P) states for the leaderless protocols.
-func allLeaderlessStarts(q, n int) []*core.Config {
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
-	}
-	out := make([]*core.Config, 0, total)
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		out = append(out, core.NewConfigStates(states...))
-	}
-	return out
 }

@@ -147,10 +147,7 @@ func TestGlobalPModelCheckGlobalP6(t *testing.T) {
 func TestGlobalPFailsWeakFairnessAtP(t *testing.T) {
 	const p = 3
 	pr := NewGlobalP(p)
-	var starts []*core.Config
-	for _, c := range allLeaderlessStarts(p, p) {
-		starts = append(starts, c.WithLeader(pr.InitLeader()))
-	}
+	starts := explore.AllConfigs(p, p, pr.InitLeader())
 	g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +171,7 @@ func TestGlobalPWeakFairnessBelowP(t *testing.T) {
 	const p = 3
 	pr := NewGlobalP(p)
 	for n := 1; n < p; n++ {
-		var starts []*core.Config
-		for _, c := range allLeaderlessStarts(p, n) {
-			starts = append(starts, c.WithLeader(pr.InitLeader()))
-		}
+		starts := explore.AllConfigs(p, n, pr.InitLeader())
 		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 20})
 		if err != nil {
 			t.Fatal(err)

@@ -84,7 +84,7 @@ func TestSelfStabModelCheckWeak(t *testing.T) {
 	const p = 2
 	pr := NewSelfStab(p)
 	for n := 1; n <= p; n++ {
-		starts := allSelfStabStarts(pr, n)
+		starts := explore.AllConfigs(pr.States(), n, pr.Leaders()...)
 		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestSelfStabModelCheckWeakP3(t *testing.T) {
 	const p = 3
 	pr := NewSelfStab(p)
 	for n := 1; n <= p; n++ {
-		starts := allSelfStabStarts(pr, n)
+		starts := explore.AllConfigs(pr.States(), n, pr.Leaders()...)
 		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSelfStabModelCheckWeakP4(t *testing.T) {
 	}
 	const p = 4
 	pr := NewSelfStab(p)
-	starts := allSelfStabStarts(pr, p)
+	starts := explore.AllConfigs(pr.States(), p, pr.Leaders()...)
 	g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 22})
 	if err != nil {
 		t.Fatal(err)
@@ -140,36 +140,6 @@ func TestSelfStabModelCheckWeakP4(t *testing.T) {
 	}
 	t.Logf("Proposition 16 verified at P=N=%d over %d configurations (%d starts)",
 		p, verdict.Explored, len(starts))
-}
-
-// allSelfStabStarts enumerates every (mobile states, leader state)
-// combination within the declared variable domains.
-func allSelfStabStarts(pr *SelfStab, n int) []*core.Config {
-	p := pr.P()
-	q := pr.States()
-	var leaders []core.Leader
-	for nn := 0; nn <= p+1; nn++ {
-		for k := 0; k <= seq.Len(p)+1; k++ {
-			leaders = append(leaders, counting.BST(nn, k))
-		}
-	}
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
-	}
-	var out []*core.Config
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		for _, l := range leaders {
-			out = append(out, core.NewConfigStates(states...).WithLeader(l))
-		}
-	}
-	return out
 }
 
 // TestSelfStabRecoversFromCorruption: converge, corrupt, re-converge —

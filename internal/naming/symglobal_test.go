@@ -67,7 +67,7 @@ func TestSymGlobalModelCheckGlobal(t *testing.T) {
 	for p := 3; p <= 5; p++ {
 		pr := NewSymGlobal(p)
 		for n := 3; n <= p; n++ {
-			g, err := explore.Build(pr, allLeaderlessStarts(pr.States(), n), explore.Options{})
+			g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n), explore.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestSymGlobalModelCheckGlobal(t *testing.T) {
 // non-converging lasso.
 func TestSymGlobalFailsWeakFairness(t *testing.T) {
 	pr := NewSymGlobal(3)
-	g, err := explore.Build(pr, allLeaderlessStarts(pr.States(), 4), explore.Options{})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), 4), explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,52 @@ func TestDistinctRulesDedupesRepresentations(t *testing.T) {
 	}
 }
 
+// stepLeader is a two-state protocol with a one-register leader that
+// counts its meetings, for the dense leader-rule table.
+type stepLeader struct{ *core.RuleTable }
+
+var stepKind = &core.LeaderKind{Name: "S", Fields: []string{""}}
+
+func (stepLeader) InitLeader() core.Leader { return stepKind.New(0) }
+
+func (stepLeader) LeaderInteract(l core.Leader, x core.State) (core.Leader, core.State) {
+	return stepKind.New(l.Reg(0) + 1), 1 - x
+}
+
+// TestLeaderRulesDense: once a compiled table is installed, leader
+// rules count in the dense table, and RuleCounts and distinctRules
+// merge them with rules the map counted before, exactly as for mobile
+// rules. A chunk's Nulls advances the counters and the quiet streak as
+// that many null Steps would.
+func TestLeaderRulesDense(t *testing.T) {
+	tab := core.MustCompile(stepLeader{core.NewRuleTable("s", 2, 2)})
+	o := NewObserver(2, true, ObserverOptions{})
+	o.ObserveLeader(core.Pair{A: core.LeaderIndex, B: 0}, 0, 1, true) // map
+	o.CompileRules(tab)
+	o.ObserveLeader(core.Pair{A: core.LeaderIndex, B: 1}, 0, 1, true) // dense, same rule
+	c := o.Begin()
+	c.Nulls(5)
+	c.LeaderRule(1, 0)
+	c.Step(true)
+	c.Fold()
+	o.Finish(true)
+
+	if o.Steps() != 8 || o.NonNull() != 3 {
+		t.Fatalf("steps/nonNull = %d/%d, want 8/3", o.Steps(), o.NonNull())
+	}
+	if h := o.QuietStreaks(); h.Count() != 1 || h.Max() != 5 {
+		t.Fatalf("quiet streaks: %d recorded, max %d; want one of 5", h.Count(), h.Max())
+	}
+	counts := o.RuleCounts()
+	want := []RuleCount{{Rule: "(L,0)->(L,1)", Count: 2}, {Rule: "(L,1)->(L,0)", Count: 1}}
+	if len(counts) != len(want) || counts[0] != want[0] || counts[1] != want[1] {
+		t.Fatalf("RuleCounts = %v, want %v", counts, want)
+	}
+	if got := o.distinctRules(); got != len(want) {
+		t.Fatalf("distinctRules = %d, want %d", got, len(want))
+	}
+}
+
 func TestObserverLeaderPairs(t *testing.T) {
 	o := NewObserver(2, true, ObserverOptions{})
 	o.ObserveLeader(core.Pair{A: core.LeaderIndex, B: 0}, 0, 1, true)

@@ -65,9 +65,11 @@ type Observer struct {
 
 	// Dense per-rule accounting for the compiled engine: fire counts
 	// keyed by the transition-table index initiator*|Q|+responder, with
-	// the right-hand sides reconstructed from the table on read.
-	ruleTab    *core.Compiled
-	rulesDense []uint64
+	// the right-hand sides reconstructed from the table on read, and
+	// leader-rule fire counts keyed by the mobile peer's x*|Q|+x'.
+	ruleTab     *core.Compiled
+	rulesDense  []uint64
+	leaderDense []uint64
 
 	quietHist Histogram
 
@@ -159,16 +161,21 @@ func (o *Observer) Snapshot() ObserverSnapshot {
 // Finish.
 func (o *Observer) SetForced(n int64) { o.forced = n }
 
-// CompileRules switches mobile per-rule accounting to a dense counter
-// array keyed by tab's flat table index, removing the map operation
-// from the hot loop. sim.Runner calls it when it installs a compiled
-// engine; RuleCounts merges both representations.
+// CompileRules switches per-rule accounting to dense counter arrays —
+// mobile rules keyed by tab's flat table index, leader rules by the
+// mobile peer's transition x·|Q|+x' — removing the map operation from
+// the hot loop. The engines call it when they install a compiled
+// table; RuleCounts merges both representations.
 func (o *Observer) CompileRules(tab *core.Compiled) {
 	if o.ruleTab == tab {
 		return
 	}
 	o.ruleTab = tab
 	o.rulesDense = make([]uint64, tab.States()*tab.States())
+	o.leaderDense = nil
+	if _, ok := tab.Leader(); ok {
+		o.leaderDense = make([]uint64, tab.States()*tab.States())
+	}
 }
 
 // Chunk is the observer's accounting for a run of consecutive
@@ -177,20 +184,21 @@ func (o *Observer) CompileRules(tab *core.Compiled) {
 // changed states, then Step — and folds it back with Fold at the chunk
 // end. The interaction, non-null and quiet-streak counters live in the
 // chunk until the fold; rule counts, pair last-seen steps and completed
-// quiet streaks go straight to the observer. A chunk must end (fold)
-// no later than Room interactions after Begin, so that a progress
-// record falls on exactly its step, and nothing else may feed the
-// observer while a chunk is open. The per-interaction Observe* methods
-// are one-interaction chunks.
+// quiet streaks go straight to the observer. A loop that skips a run
+// of null interactions at once records it with Nulls. A chunk must end
+// (fold) no later than Room interactions after Begin, so that a
+// progress record falls on exactly its step, and nothing else may feed
+// the observer while a chunk is open. The per-interaction Observe*
+// methods are one-interaction chunks.
 type Chunk struct {
 	o       *Observer
 	steps   uint64
 	nonNull uint64
 	quiet   int64
 	// The observer's tables and pair indexing, copied for the hot loop.
-	dense    []uint64
-	lastSeen []int64 // nil when pair tracking is disabled
-	lo, m    int
+	dense, leader []uint64
+	lastSeen      []int64 // nil when pair tracking is disabled
+	lo, m, q      int
 }
 
 // Begin opens a chunk at the observer's current counters.
@@ -201,8 +209,12 @@ func (o *Observer) Begin() Chunk {
 		nonNull: o.nonNull.Value(),
 		quiet:   atomic.LoadInt64(&o.quiet),
 		dense:   o.rulesDense,
+		leader:  o.leaderDense,
 		lo:      o.lo,
 		m:       o.m,
+	}
+	if o.ruleTab != nil {
+		c.q = o.ruleTab.States()
 	}
 	if o.pairTrack {
 		c.lastSeen = o.lastSeen
@@ -243,9 +255,21 @@ func (c *Chunk) Pair(p core.Pair) {
 // (x·|Q|+y). It requires CompileRules to have installed the table.
 func (c *Chunk) Rule(idx int) { c.dense[idx]++ }
 
-// Fire records a firing of a map-keyed rule: a leader rule, or a mobile
-// rule when no compiled table is installed.
+// LeaderRule records a firing of a leader rule that moved its mobile
+// peer from x to x2 (x2 == x when only the leader changed). It
+// requires CompileRules to have installed the table.
+func (c *Chunk) LeaderRule(x, x2 core.State) { c.leader[int(x)*c.q+int(x2)]++ }
+
+// Fire records a firing of a map-keyed rule, when no compiled table is
+// installed.
 func (c *Chunk) Fire(k RuleKey) { c.o.rules[k]++ }
+
+// Nulls advances the interaction counters and the quiet streak by k
+// null interactions.
+func (c *Chunk) Nulls(k int) {
+	c.steps += uint64(k)
+	c.quiet += int64(k)
+}
 
 // Step advances the interaction counters and the quiet streak,
 // recording a completed streak when a non-null interaction ends it.
@@ -304,7 +328,11 @@ func (o *Observer) ObserveMobile(p core.Pair, x, y, x2, y2 core.State, changed b
 func (o *Observer) ObserveLeader(p core.Pair, x, x2 core.State, changed bool) {
 	c := o.Begin()
 	c.Pair(p)
-	if changed {
+	switch {
+	case !changed:
+	case c.leader != nil:
+		c.LeaderRule(x, x2)
+	default:
 		c.Fire(RuleKey{Leader: true, X: x, X2: x2})
 	}
 	c.Step(changed)
@@ -403,45 +431,52 @@ func (o *Observer) snapshot() Progress {
 	}
 }
 
+// denseRules calls f for every rule fired in the dense tables, with
+// its key and count.
+func (o *Observer) denseRules(f func(RuleKey, uint64)) {
+	if o.ruleTab == nil {
+		return
+	}
+	q := o.ruleTab.States()
+	for idx, c := range o.rulesDense {
+		if c != 0 {
+			x2, y2 := o.ruleTab.At(idx)
+			f(RuleKey{X: core.State(idx / q), Y: core.State(idx % q), X2: x2, Y2: y2}, c)
+		}
+	}
+	for idx, c := range o.leaderDense {
+		if c != 0 {
+			f(RuleKey{Leader: true, X: core.State(idx / q), X2: core.State(idx % q)}, c)
+		}
+	}
+}
+
 // distinctRules returns the number of distinct non-null rules fired,
 // across both the map and dense representations. A rule counted in
-// both — fired before CompileRules switched to the dense array and
+// both — fired before CompileRules switched to the dense arrays and
 // again after — is one distinct rule, so dense entries that also
 // appear in the map are skipped.
 func (o *Observer) distinctRules() int {
 	n := len(o.rules)
-	for idx, c := range o.rulesDense {
-		if c == 0 {
-			continue
-		}
-		q := o.ruleTab.States()
-		x, y := core.State(idx/q), core.State(idx%q)
-		x2, y2 := o.ruleTab.At(idx)
-		if _, dup := o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]; !dup {
+	o.denseRules(func(k RuleKey, _ uint64) {
+		if _, dup := o.rules[k]; !dup {
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // RuleCounts returns the non-null rule firings, most frequent first
 // with ties broken by rule text (deterministic for fixed seeds). Counts
-// from the map and dense representations are merged per rule (a run can
-// touch both, e.g. leader rules stay in the map).
+// from the map and dense representations are merged per rule (a run
+// can touch both, e.g. a manual step before the compiled table is
+// installed).
 func (o *Observer) RuleCounts() []RuleCount {
 	merged := make(map[string]uint64, o.distinctRules())
 	for k, c := range o.rules {
 		merged[k.String()] += c
 	}
-	for idx, c := range o.rulesDense {
-		if c == 0 {
-			continue
-		}
-		q := o.ruleTab.States()
-		x, y := core.State(idx/q), core.State(idx%q)
-		x2, y2 := o.ruleTab.At(idx)
-		merged[RuleKey{X: x, Y: y, X2: x2, Y2: y2}.String()] += c
-	}
+	o.denseRules(func(k RuleKey, c uint64) { merged[k.String()] += c })
 	out := make([]RuleCount, 0, len(merged))
 	for rule, c := range merged {
 		out = append(out, RuleCount{Rule: rule, Count: c})

@@ -3,11 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"popnaming/internal/obs"
+	"popnaming/internal/serve/store"
 )
 
 // countSpec returns a spec the count engine accepts; rejection tests
@@ -34,24 +36,26 @@ func TestCountAdmissionRejections(t *testing.T) {
 		name    string
 		mutate  func(*Spec)
 		feature string // expected Error.Feature; "" means kind "validation"
+		extra   map[string]any
 	}{
-		{"campaign", func(sp *Spec) { sp.Kind = KindCampaign }, "kind:campaign"},
-		{"table1", func(sp *Spec) { sp.Kind = KindTable1; sp.Protocol = ""; sp.P = 0; sp.N = 0 }, "kind:table1"},
-		{"faults", func(sp *Spec) { sp.Faults = "@conv:corrupt=2" }, "faults"},
-		{"deadline", func(sp *Spec) { sp.DeadlineMS = 60_000 }, acceptCount},
-		{"retries", func(sp *Spec) { sp.Retries = 1 }, acceptCount},
-		{"stall", func(sp *Spec) { sp.Stall = 100 }, acceptCount},
-		{"roundrobin", func(sp *Spec) { sp.Sched = "roundrobin" }, "sched:roundrobin"},
-		{"matching", func(sp *Spec) { sp.Sched = "matching" }, "sched:matching"},
-		{"arbitrary", func(sp *Spec) { sp.Init = "arbitrary" }, "init:arbitrary"},
-		{"badsampler", func(sp *Spec) { sp.Sampler = "vose" }, ""},
-		{"badengine", func(sp *Spec) { sp.Engine = "warp" }, ""},
+		{"campaign", func(sp *Spec) { sp.Kind = KindCampaign }, "kind:campaign", nil},
+		{"table1", func(sp *Spec) { sp.Kind = KindTable1; sp.Protocol = ""; sp.P = 0; sp.N = 0 }, "kind:table1", nil},
+		{"faults", func(sp *Spec) { sp.Faults = "@conv:corrupt=2" }, "faults", nil},
+		{"deadline", func(sp *Spec) { sp.DeadlineMS = 60_000 }, acceptCount, nil},
+		{"retries", func(sp *Spec) { sp.Retries = 1 }, acceptCount, nil},
+		{"stall", func(sp *Spec) { sp.Stall = 100 }, acceptCount, nil},
+		{"roundrobin", func(sp *Spec) { sp.Sched = "roundrobin" }, "sched:roundrobin", nil},
+		{"matching", func(sp *Spec) { sp.Sched = "matching" }, "sched:matching", nil},
+		{"arbitrary", func(sp *Spec) { sp.Init = "arbitrary" }, "init:arbitrary", nil},
+		// The retired count-sampler knob is an unknown field now.
+		{"badsampler", func(*Spec) {}, "", map[string]any{"sampler": "alias"}},
+		{"badengine", func(sp *Spec) { sp.Engine = "warp" }, "", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sp := countSpec()
 			c.mutate(&sp)
-			code, v, e, _ := postJob(t, ts, sp)
+			code, v, e, _ := postJobFields(t, ts, sp, c.extra)
 			if c.feature == acceptCount {
 				if code != http.StatusAccepted {
 					t.Fatalf("status %d, error %+v; want 202", code, e)
@@ -72,15 +76,12 @@ func TestCountAdmissionRejections(t *testing.T) {
 			} else if e.Kind != "validation" {
 				t.Errorf("kind = %q, want validation", e.Kind)
 			}
+			for field := range c.extra {
+				if !strings.Contains(e.Message, `"`+field+`"`) {
+					t.Errorf("message %q does not name the field %q", e.Message, field)
+				}
+			}
 		})
-	}
-
-	// Sampler on an agent-engine job is a plain validation 400 too.
-	sp := countSpec()
-	sp.Engine = ""
-	sp.Sampler = "fenwick"
-	if code, _, e, _ := postJob(t, ts, sp); code != http.StatusBadRequest || e == nil || !strings.Contains(e.Message, "count-engine jobs only") {
-		t.Fatalf("agent job with sampler: status %d, error %+v", code, e)
 	}
 }
 
@@ -91,13 +92,12 @@ func TestCountSimJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	sp := countSpec()
 	sp.ProgressEvery = 1000
-	sp.Sampler = "alias"
 	code, v, e, _ := postJob(t, ts, sp)
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d, error %+v", code, e)
 	}
-	if v.Engine != "count" || v.Sampler != "alias" {
-		t.Fatalf("view engine=%q sampler=%q", v.Engine, v.Sampler)
+	if v.Engine != "count" {
+		t.Fatalf("view engine=%q", v.Engine)
 	}
 	done := waitState(t, ts, v.ID, StateDone, 30*time.Second)
 	if done.Summary == nil || !done.Summary.OK || !done.Summary.Converged || !done.Summary.ValidNaming {
@@ -169,8 +169,59 @@ func TestCountLargeN(t *testing.T) {
 
 	// The identical spec on the agent engine is over the N ≤ P bound.
 	sp.Engine = ""
-	sp.Sampler = ""
 	if code, _, e, _ := postJob(t, ts, sp); code != http.StatusBadRequest || e == nil {
 		t.Fatalf("agent job at N=5e7: status %d, error %+v", code, e)
+	}
+}
+
+// TestRestartReplaysRetiredSampler: a WAL written when count jobs still
+// took a "sampler" field replays. The admission decoder rejects the
+// field, but replay decodes specs leniently: the finished job is
+// restored as it was, and the interrupted one re-runs to done on the
+// count engine.
+func TestRestartReplaysRetiredSampler(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := []byte(`{"kind":"sim","protocol":"asym","p":12,"n":10,"engine":"count","sampler":"alias","seed":7,"budget":1000000}`)
+	for _, id := range []string{"j000001", "j000002"} {
+		if err := w.Admit(id, spec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finalize("j000001", store.Final{State: store.StateDone, Summary: []byte(`{"ok":true}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetState("j000002", store.StateRunning); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wal, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, QueueCap: 4, Store: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	if got, want := s.met.restored.Value(), uint64(1); got != want {
+		t.Fatalf("jobs_restored = %d, want %d", got, want)
+	}
+	if v := getView(t, ts, "j000001"); v.State != StateDone || v.Engine != "count" {
+		t.Fatalf("restored job state=%q engine=%q", v.State, v.Engine)
+	}
+	done := waitState(t, ts, "j000002", StateDone, 30*time.Second)
+	if done.Engine != "count" || done.Summary == nil || !done.Summary.Converged {
+		t.Fatalf("re-run job engine=%q summary=%+v", done.Engine, done.Summary)
 	}
 }

@@ -87,10 +87,8 @@ type Spec struct {
 	// trials, but the count engine has no agent identities, so
 	// identity-dependent features (campaign/table1 kinds, fault plans,
 	// non-random schedulers, arbitrary init) are rejected at admission
-	// with a structured 400 naming the feature. Sampler picks its state
-	// sampler (auto | fenwick | alias; count jobs only).
-	Engine  string `json:"engine,omitempty"`
-	Sampler string `json:"sampler,omitempty"`
+	// with a structured 400 naming the feature.
+	Engine string `json:"engine,omitempty"`
 
 	// Seed is the base RNG seed (0: auto-derive; echoed back).
 	Seed int64 `json:"seed,omitempty"`
@@ -222,11 +220,6 @@ func prepare(spec Spec) (*validated, *Error) {
 			return nil, countBadRequest("faults",
 				"count-engine jobs cannot inject faults: fault kinds target individual agents")
 		}
-		if !sim.ValidCountSampler(sp.Sampler) {
-			return nil, badRequest("unknown sampler %q (auto | fenwick | alias)", sp.Sampler)
-		}
-	} else if sp.Sampler != "" {
-		return nil, badRequest("sampler applies to count-engine jobs only (set \"engine\": \"count\")")
 	}
 	sp.Seed, v.seedDerived = obs.ResolveSeed(sp.Seed)
 	if sp.Budget == 0 {
@@ -590,7 +583,6 @@ type JobView struct {
 	Sched       string   `json:"sched,omitempty"`
 	Init        string   `json:"init,omitempty"`
 	Engine      string   `json:"engine,omitempty"`
-	Sampler     string   `json:"sampler,omitempty"`
 	Faults      string   `json:"faults,omitempty"`
 	Budget      int      `json:"budget,omitempty"`
 	Trials      int      `json:"trials,omitempty"`
@@ -625,7 +617,7 @@ func (j *Job) view() JobView {
 	view := JobView{
 		ID: j.ID, Kind: sp.Kind, State: j.state,
 		Protocol: sp.Protocol, P: sp.P, N: sp.N, Sched: sp.Sched, Init: sp.Init,
-		Engine: sp.Engine, Sampler: sp.Sampler,
+		Engine: sp.Engine,
 		Faults: sp.Faults, Budget: sp.Budget, Trials: sp.Trials, Workers: sp.Workers,
 		Seed: sp.Seed, SeedDerived: j.v.seedDerived, Shard: sp.Shard,
 		Cached: j.cached, IdempotencyKey: j.key,

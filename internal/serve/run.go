@@ -204,7 +204,7 @@ func trialFor(v *validated, seed int64) sim.Trial {
 	sp := v.spec
 	t, _ := sim.StartTrial(v.proto, sp.N, sp.Init, sp.Engine == "count", seed)
 	if t.Count != nil {
-		t.Seed, t.Sampler = seed+1, sp.Sampler
+		t.Seed = seed + 1
 		return t
 	}
 	t.Sched, _ = buildScheduler(v.proto, sp.N, sp.Sched, seed+1)

@@ -39,9 +39,28 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // status code, the job view (2xx) and the error body (non-2xx).
 func postJob(t *testing.T, ts *httptest.Server, spec Spec) (int, JobView, *Error, http.Header) {
 	t.Helper()
+	return postJobFields(t, ts, spec, nil)
+}
+
+// postJobFields is postJob with extra top-level fields merged into the
+// request body, for fields the Spec type does not (or no longer) have.
+func postJobFields(t *testing.T, ts *httptest.Server, spec Spec, extra map[string]any) (int, JobView, *Error, http.Header) {
+	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if extra != nil {
+		var fields map[string]any
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range extra {
+			fields[k] = v
+		}
+		if body, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {

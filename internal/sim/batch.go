@@ -14,7 +14,7 @@ import (
 
 // Trial describes one attempt of an independent execution on either
 // engine. Agent-engine trials set Cfg, Sched and optionally Inject;
-// count-engine trials set Count, Seed and optionally Sampler. Batches
+// count-engine trials set Count and Seed. Batches
 // share one Protocol value across goroutines, which is safe because
 // protocols are immutable and their transition functions are pure.
 type Trial struct {
@@ -31,9 +31,6 @@ type Trial struct {
 	// Seed seeds the count engine's RNG (the scheduler-seed role; see
 	// CountRunner.Seed).
 	Seed int64
-	// Sampler picks the count engine's state sampler (see
-	// CountSamplers).
-	Sampler string
 }
 
 // Executor is one attempt of a trial on either engine, as the
@@ -73,7 +70,6 @@ func NewExecutor(pr core.Protocol, t Trial, tab *core.Compiled, bo BatchObs, tri
 		if err != nil {
 			panic(err)
 		}
-		r.Sampler = t.Sampler
 		if bo.Sink != nil {
 			oo.NoPairs = true
 			r.Obs = obs.NewObserver(t.Count.N(), core.HasLeader(pr), oo)

@@ -15,34 +15,45 @@ import (
 // The count-based (Gillespie) engine. Under the uniform random
 // scheduler a configuration is fully described by its per-state counts:
 // the probability that the next interaction is an ordered state pair
-// (p, q) is c[p]·c[q] / N(N−1) off the diagonal and c[p]·(c[p]−1) /
+// (x, y) is c[x]·c[y] / N(N−1) off the diagonal and c[x]·(c[x]−1) /
 // N(N−1) on it (two distinct agents of one state), and with a leader
-// the leader interacts with probability 2/(N+1), its peer uniform over
-// the N mobile agents. CountRunner samples state pairs from exactly
-// these weights, applies the compiled transition directly to the
-// counts, and never materializes an agent array — per-step cost depends
-// on |Q|, not N, which is what unlocks populations of 10⁶–10⁹ agents.
+// the N+1 entities give T = (N+1)N ordered pairs, 2·c[x] of them
+// between the leader and an agent of state x. CountRunner applies the
+// compiled transition directly to the counts and never materializes an
+// agent array, so its cost depends on |Q|, not N, which is what
+// unlocks populations of 10⁶–10⁹ agents.
 //
-// The |Q|² pair distribution is never tabulated: it factors exactly
-// into two |Q|-ary draws. The initiator p is a state drawn ∝ c[p]; the
-// responder is a state drawn ∝ c[q] and, when it collides with p,
-// accepted with probability (c[p]−1)/c[p] (the chance a uniformly
-// random agent of state p is not the initiator itself) or redrawn —
-// which is exactly "a uniformly random agent among the other N−1". The
-// rejection probability is 1/N per step, so the factorization is both
-// exact and cheaper than maintaining |Q|² weights.
-//
-// Two interchangeable samplers implement the c-proportional draw (see
-// CountSamplers); the benchmark-selected default is the Fenwick tree.
+// It runs the embedded jump chain (the discrete-time Gillespie direct
+// method) rather than drawing every interaction. Let W be the weight of
+// the non-null mobile pairs, Σ c[x]·(c[y]−[x=y]) over non-null (x, y),
+// and L the number of agents whose state is non-null against the
+// current leader. An interaction is non-null with probability
+// p = (W+2L)/T, independently of everything before it while the counts
+// stand still, so the run of nulls before the next non-null event is
+// G ~ Geometric(p) and the event is a non-null pair drawn ∝ its weight.
+// G = 0 is decided exactly, by the integer Bernoulli uint64n(T) < W+2L,
+// whose draw, when it succeeds, is itself uniform on [0, W+2L) and
+// picks the event. G ≥ 1 is 1 + ⌊E/λ⌋ in float64, with E ~ Exp(1) and
+// λ = −ln(1−p): the inversion ⌊ln U / ln(1−p)⌋ with E = −ln U, since
+// G−1 given G ≥ 1 is again Geometric(p). A skip cut short by the
+// budget or a chunk boundary is simply redrawn at the next step: the
+// geometric law is memoryless and the counts have not changed. Within
+// the mobile weight the initiator x is drawn ∝ w[x] = c[x]·A[x], where
+// A[x] = Σ c[y] − [x=y] over x's non-null row, from a Fenwick tree; the
+// responder ∝ c[y] (c[x]−1 on the diagonal) over that row, and is
+// implied when the row holds one state, as on the naming protocols'
+// diagonal rules. A count change at s moves A only for the states of
+// s's non-null column, so on those diagonal-sparse protocols an event
+// costs O(log |Q|) tree updates. W = L = 0 is exactly silence.
 
 // countRNG supplies unbiased bounded uniforms from a PCG seeded
 // through prng.PCG and held by value (no allocation, direct calls), the
 // same generator the agent engine's sched.Random draws from. The agent
 // scheduler tolerates multiply-shift bias (a fairness statistic cannot
-// resolve span/2³²), but the count engine's collision and staleness
-// rejections compare against exact integer thresholds, so it uses
-// Lemire's debiased method: one multiply per draw, a second only in the
-// rare sliver where the low word forces the bias check.
+// resolve span/2³²), but the count engine compares draws against exact
+// integer weights, so it uses Lemire's debiased method: one multiply
+// per draw, a second only in the rare sliver where the low word forces
+// the bias check.
 type countRNG struct {
 	src rand.PCG
 }
@@ -63,281 +74,202 @@ func (r *countRNG) uint64n(n uint64) uint64 {
 	return hi
 }
 
-// countSampler draws a state with probability proportional to its
-// current count. After the census mutates the shared counts slice the
-// runner calls sync for each touched state; sync is idempotent.
-type countSampler interface {
-	draw(r *countRNG) core.State
-	sync(s core.State)
+// exp returns an Exp(1) variate: math/rand/v2's ziggurat over this
+// PCG, which costs less than inverting a uniform through math.Log.
+func (r *countRNG) exp() float64 { return rand.New(&r.src).ExpFloat64() }
+
+// fenwick is a Fenwick (binary indexed) tree over uint64 weights:
+// O(log n) point update and weighted draw. Updates add in two's
+// complement, so a decrease is the wrapped negative delta. The tree is
+// sized to a power of two (the padding holds zero weights), so a draw
+// descends every level without bounds tests.
+type fenwick struct {
+	tree []uint64 // 1-indexed partial sums, len = top+1
+	top  int      // power of two ≥ n
 }
 
-// CountSamplers lists the sampler implementations selectable through
-// CountRunner.Sampler: "fenwick" (a Fenwick tree over the counts,
-// O(log |Q|) draw and update) and "alias" (an integer Vose alias table
-// over a count snapshot, O(1) amortized draw with exact staleness
-// rejection between lazy rebuilds). "auto" or empty selects the
-// benchmark winner (see BenchmarkCountSampler): the Fenwick tree, which
-// BENCH_PR7.json shows ahead at |Q| ≤ 8 and tied at |Q| = 64 — every
-// registry protocol lives there — and overtaken by the alias table's
-// O(1) draw only near the |Q| = 1024 compiled-table cap (~81 vs ~71
-// ns/step), where the alias sampler remains selectable (and
-// differentially tested) for protocols that big.
-var CountSamplers = []string{"auto", "fenwick", "alias"}
-
-// ValidCountSampler reports whether name selects a sampler.
-func ValidCountSampler(name string) bool {
-	for _, s := range CountSamplers {
-		if name == s || name == "" {
-			return true
-		}
+func newFenwick(n int) fenwick {
+	top := 1
+	for top < n {
+		top *= 2
 	}
-	return false
+	return fenwick{tree: make([]uint64, top+1), top: top}
 }
 
-// fenwickSampler keeps the counts in a Fenwick (binary indexed) tree:
-// drawing descends the implicit prefix sums in O(log |Q|), syncing a
-// state updates O(log |Q|) nodes. No staleness, no rejection — the
-// simple baseline the alias sampler must beat.
-type fenwickSampler struct {
-	counts  []int   // live, shared with the census
-	shadow  []int   // last value synced into the tree, per state
-	tree    []int64 // 1-indexed Fenwick array
-	total   uint64  // population N (constant: transitions conserve it)
-	highbit int     // largest power of two ≤ len(counts)
-	q       int
+func (f *fenwick) add(i int, d uint64) {
+	for j := i + 1; j <= f.top; j += j & -j {
+		f.tree[j] += d
+	}
 }
 
-func newFenwickSampler(counts []int, n int) *fenwickSampler {
-	q := len(counts)
-	hb := 1
-	for hb*2 <= q {
-		hb *= 2
-	}
-	f := &fenwickSampler{
-		counts:  counts,
-		shadow:  make([]int, q),
-		tree:    make([]int64, q+1),
-		total:   uint64(n),
-		highbit: hb,
-		q:       q,
-	}
-	copy(f.shadow, counts)
-	// Linear-time Fenwick construction from the initial counts.
-	for i := 0; i < q; i++ {
-		f.tree[i+1] += int64(counts[i])
-		if j := i + 1 + ((i + 1) & -(i + 1)); j <= q {
-			f.tree[j] += f.tree[i+1]
-		}
-	}
-	return f
-}
-
-func (f *fenwickSampler) draw(r *countRNG) core.State {
-	u := int64(r.uint64n(f.total))
-	// Prefix-sum descent: find the first state whose cumulative count
-	// exceeds u.
+// find returns the index i whose cumulative weight range holds u:
+// Σ_{j<i} w[j] ≤ u < Σ_{j≤i} w[j]. u must be below the total weight.
+func (f *fenwick) find(u uint64) int {
 	pos := 0
-	for k := f.highbit; k > 0; k >>= 1 {
-		if next := pos + k; next <= f.q && f.tree[next] <= u {
-			u -= f.tree[next]
-			pos = next
+	for k := f.top >> 1; k > 0; k >>= 1 {
+		if t := f.tree[pos+k]; t <= u {
+			u -= t
+			pos += k
 		}
 	}
-	return core.State(pos)
+	return pos
 }
 
-func (f *fenwickSampler) sync(s core.State) {
-	i := int(s)
-	delta := int64(f.counts[i] - f.shadow[i])
-	if delta == 0 {
-		return
-	}
-	f.shadow[i] = f.counts[i]
-	for j := i + 1; j <= f.q; j += j & -j {
-		f.tree[j] += delta
-	}
+// countEvents holds the jump chain's non-null weights for one count
+// vector (shared with the CountConfig, so every move flows back into
+// it) and draws non-null events from them.
+type countEvents struct {
+	tab    *core.Compiled
+	lp     core.LeaderProtocol
+	counts []int
+	a      []int64  // A[x]: Σ c[y] − [x=y] over x's non-null row
+	solo   []int32  // the one state of x's non-null row, or -1
+	w      []uint64 // w[x] = c[x]·A[x]
+	tree   fenwick  // over w
+	mobile uint64   // W = Σ w
+	// lact marks the states non-null against the current leader, and
+	// leader = L counts their agents (always 0 without a leader).
+	lact   []bool
+	leader uint64
 }
 
-// aliasSampler draws in O(1) amortized from an integer Vose alias table
-// built over a snapshot of the counts, rebuilt lazily. Between rebuilds
-// the live counts drift from the snapshot; exactness is restored by
-// rejection: states are proposed from the mixture (snap + d⁺)/(N + D⁺),
-// where d⁺[s] = max(0, c[s] − snap[s]) and D⁺ = Σ d⁺, and a proposed s
-// is accepted with probability c[s]/(snap[s] + d⁺[s]) ≤ 1. The mixture
-// dominates the target (c ≤ snap + d⁺ pointwise), so accepted draws are
-// exactly c-proportional however stale the table is. A rebuild triggers
-// once D⁺ reaches max(64, N/8), bounding the worst-case acceptance rate
-// below by about 7/9 and amortizing the O(|Q|) rebuild over at least 32
-// transitions (each non-null transition adds at most 2 to D⁺).
-//
-// The table itself is exact in integers: weights snap[i]·|Q| (≤ 2⁴² for
-// N ≤ 2³², |Q| ≤ 2¹⁰) are Vose-packed into |Q| buckets of capacity N,
-// and one uniform draw from [0, N·|Q|) yields the bucket (quotient) and
-// the threshold comparand (remainder) at once.
-type aliasSampler struct {
-	counts []int  // live, shared with the census
-	n      uint64 // population N (constant)
-	q      int
-
-	snap   []int64 // counts at the last rebuild
-	thresh []uint64
-	alias  []int32
-
-	dplus   []int64 // d⁺ per state; positive entries are in touched
-	dtot    uint64  // D⁺
-	touched []int32
-	inTouch []bool
-
-	rebuildAt uint64
-	rebuilds  uint64
-
-	scratch []int64 // Vose weights
-	small   []int32 // Vose worklists
-	large   []int32
-}
-
-func newAliasSampler(counts []int, n int) *aliasSampler {
+func newCountEvents(tab *core.Compiled, counts []int, l core.Leader) *countEvents {
 	q := len(counts)
-	a := &aliasSampler{
-		counts:  counts,
-		n:       uint64(n),
-		q:       q,
-		snap:    make([]int64, q),
-		thresh:  make([]uint64, q),
-		alias:   make([]int32, q),
-		dplus:   make([]int64, q),
-		inTouch: make([]bool, q),
-		scratch: make([]int64, q),
-		small:   make([]int32, 0, q),
-		large:   make([]int32, 0, q),
+	e := &countEvents{
+		tab:    tab,
+		counts: counts,
+		a:      make([]int64, q),
+		solo:   make([]int32, q),
+		w:      make([]uint64, q),
+		tree:   newFenwick(q),
+		lact:   make([]bool, q),
 	}
-	a.rebuildAt = uint64(n / 8)
-	if a.rebuildAt < 64 {
-		a.rebuildAt = 64
-	}
-	a.rebuild()
-	return a
-}
-
-// rebuild snapshots the counts and repacks the alias table (integer
-// Vose): every bucket ends with threshold in [0, N] and an alias, and
-// leftover buckets are exactly full (threshold N, alias unused).
-func (a *aliasSampler) rebuild() {
-	n := int64(a.n)
-	q := int64(a.q)
-	small, large := a.small[:0], a.large[:0]
-	for i := range a.counts {
-		a.snap[i] = int64(a.counts[i])
-		w := a.snap[i] * q
-		a.scratch[i] = w
-		if w < n {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		a.thresh[s] = uint64(a.scratch[s])
-		a.alias[s] = l
-		a.scratch[l] -= n - a.scratch[s]
-		if a.scratch[l] < n {
-			large = large[:len(large)-1]
-			small = append(small, l)
-		}
-	}
-	// Total weight is exactly N·|Q|, so whatever remains is exactly
-	// full: threshold N means the alias is never taken.
-	for _, i := range small {
-		a.thresh[i] = a.n
-		a.alias[i] = i
-	}
-	for _, i := range large {
-		a.thresh[i] = a.n
-		a.alias[i] = i
-	}
-	a.small, a.large = small[:0], large[:0]
-	for _, s := range a.touched {
-		a.dplus[s] = 0
-		a.inTouch[s] = false
-	}
-	a.touched = a.touched[:0]
-	a.dtot = 0
-	a.rebuilds++
-}
-
-// Rebuilds returns the number of alias-table rebuilds so far (the
-// first, at construction, included).
-func (a *aliasSampler) Rebuilds() uint64 { return a.rebuilds }
-
-func (a *aliasSampler) tableDraw(r *countRNG) int {
-	t := r.uint64n(a.n * uint64(a.q))
-	b := t / a.n
-	if t%a.n < a.thresh[b] {
-		return int(b)
-	}
-	return int(a.alias[b])
-}
-
-func (a *aliasSampler) draw(r *countRNG) core.State {
-	for {
-		var s int
-		if a.dtot == 0 {
-			// Counts sum to N on both sides, so D⁺ = 0 means the
-			// snapshot is exact: no mixture, no rejection.
-			return core.State(a.tableDraw(r))
-		}
-		if t := r.uint64n(a.n + a.dtot); t < a.n {
-			s = a.tableDraw(r)
-		} else {
-			t -= a.n
-			for _, st := range a.touched {
-				if d := uint64(a.dplus[st]); t < d {
-					s = int(st)
-					break
-				} else if a.dplus[st] > 0 {
-					t -= d
-				}
+	e.lp, _ = tab.Leader()
+	for x := range counts {
+		members := 0
+		for i, word := range tab.Row(core.State(x)) {
+			members += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				y := i<<6 + bits.TrailingZeros64(word)
+				e.a[x] += int64(counts[y])
+				e.solo[x] = int32(y)
 			}
 		}
-		prop := uint64(a.snap[s] + a.dplus[s])
-		if c := uint64(a.counts[s]); c >= prop || r.uint64n(prop) < c {
-			return core.State(s)
+		if !tab.Null(core.State(x), core.State(x)) {
+			e.a[x]-- // an agent does not meet itself
+		}
+		if members != 1 {
+			e.solo[x] = -1
+		}
+		e.reweigh(x)
+	}
+	e.setLeader(l)
+	return e
+}
+
+// silent reports whether no interaction can change the configuration.
+func (e *countEvents) silent() bool { return e.mobile == 0 && e.leader == 0 }
+
+// reweigh recomputes w[x] from c[x] and A[x].
+func (e *countEvents) reweigh(x int) {
+	var w uint64
+	if c := e.counts[x]; c > 0 {
+		w = uint64(c) * uint64(e.a[x])
+	}
+	if d := w - e.w[x]; d != 0 {
+		e.w[x] = w
+		e.mobile += d
+		e.tree.add(x, d)
+	}
+}
+
+// shift changes c[s] by d (±1): A moves for the states of s's non-null
+// column, w for those and s itself.
+func (e *countEvents) shift(s, d int) {
+	e.counts[s] += d
+	if e.lact[s] {
+		e.leader += uint64(d)
+	}
+	col := e.tab.Col(core.State(s))
+	for i, word := range col {
+		for word != 0 {
+			x := i<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			e.a[x] += int64(d)
+			if x != s {
+				e.reweigh(x)
+			}
+		}
+	}
+	e.reweigh(s)
+}
+
+// move moves one agent from state x to state x2 (x2 != x).
+func (e *countEvents) move(x, x2 core.State) {
+	e.shift(int(x), -1)
+	e.shift(int(x2), 1)
+}
+
+// setLeader recomputes the leader-active states and L for leader l:
+// |Q| leader transitions, paid only when the leader changes.
+func (e *countEvents) setLeader(l core.Leader) {
+	if e.lp == nil {
+		return
+	}
+	e.leader = 0
+	for s := range e.lact {
+		e.lact[s] = !core.IsNullLeader(e.lp, l, core.State(s))
+		if e.lact[s] {
+			e.leader += uint64(e.counts[s])
 		}
 	}
 }
 
-func (a *aliasSampler) sync(s core.State) {
-	i := int(s)
-	dp := int64(a.counts[i]) - a.snap[i]
-	if dp < 0 {
-		dp = 0
+// draw returns the non-null event of weight index u ∈ [0, W+2L): for
+// u < 2L (an interaction involves the leader from either side, hence
+// the 2) the leader meeting an agent of state x, with leader set and y
+// unused; otherwise the mobile pair (x, y) — the initiator from the
+// tree, the responder ∝ c[y] − [x=y] over x's non-null row.
+func (e *countEvents) draw(u uint64, rng *countRNG) (x, y core.State, leader bool) {
+	if u < 2*e.leader {
+		return e.peer(u >> 1), 0, true
 	}
-	if dp == a.dplus[i] {
-		return
+	xi := e.tree.find(u - 2*e.leader)
+	if y := e.solo[xi]; y >= 0 {
+		return core.State(xi), core.State(y), false // the naming protocols' diagonal rows
 	}
-	a.dtot = uint64(int64(a.dtot) + dp - a.dplus[i])
-	a.dplus[i] = dp
-	if dp > 0 && !a.inTouch[i] {
-		a.inTouch[i] = true
-		a.touched = append(a.touched, int32(i))
+	j := rng.uint64n(uint64(e.a[xi]))
+	row := e.tab.Row(core.State(xi))
+	for i, word := range row {
+		for word != 0 {
+			yi := i<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			c := uint64(e.counts[yi])
+			if yi == xi {
+				c--
+			}
+			if j < c {
+				return core.State(xi), core.State(yi), false
+			}
+			j -= c
+		}
 	}
-	if a.dtot >= a.rebuildAt {
-		a.rebuild()
-	}
+	panic("sim: count events: responder weight out of range")
 }
 
-func newCountSampler(name string, counts []int, n int) (countSampler, error) {
-	switch name {
-	case "", "auto", "fenwick":
-		return newFenwickSampler(counts, n), nil
-	case "alias":
-		return newAliasSampler(counts, n), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown count sampler %q (auto | fenwick | alias)", name)
+// peer returns the leader-active state of agent index k ∈ [0, L).
+func (e *countEvents) peer(k uint64) core.State {
+	for s, act := range e.lact {
+		if !act {
+			continue
+		}
+		c := uint64(e.counts[s])
+		if k < c {
+			return core.State(s)
+		}
+		k -= c
 	}
+	panic("sim: count events: leader peer out of range")
 }
 
 // CountRunner executes one protocol instance over a count-space
@@ -372,27 +304,21 @@ type CountRunner struct {
 	// budget boundary, which is the right trade at N ≥ 2³⁰).
 	QuietThreshold int
 
-	// Sampler selects the c-proportional state sampler (see
-	// CountSamplers); empty or "auto" uses the benchmark default.
-	Sampler string
-
 	// Obs, when non-nil, receives per-rule accounting, periodic
 	// progress + census records, and the final summary. The run loop
 	// feeds it through an obs.Chunk folded once per progress period
 	// (or slice); the runner wires CompileRules and TrackCensus itself.
 	Obs *obs.Observer
 
-	tab    *core.Compiled
-	census *core.Census
-	smp    countSampler
-	rng    countRNG
-	lp     core.LeaderProtocol
-	n      int
+	tab   *core.Compiled
+	ev    *countEvents
+	rng   countRNG
+	n     int
+	total uint64 // T: ordered pairs of distinct entities
 
 	steps   int
 	nonNull int
 	quiet   int
-	ready   bool
 }
 
 // NewCountRunner validates the (protocol, configuration) pair and
@@ -428,8 +354,8 @@ func newCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64, tab *cor
 	} else if tab.Source() != p {
 		return nil, fmt.Errorf("sim: compiled table of %q used for a count runner of %q", tab.Name(), p.Name())
 	}
-	lp, _ := p.(core.LeaderProtocol)
-	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n}, nil
+	total, _ := core.TotalPairWeight(n, cfg.HasLeader()) // in bounds: CheckCount passed
+	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, n: n, total: total}, nil
 }
 
 // CheckCount reports whether the count engine can run protocol p over n
@@ -459,40 +385,21 @@ func (r *CountRunner) Steps() int { return r.steps }
 // NonNull returns the number of state-changing interactions so far.
 func (r *CountRunner) NonNull() int { return r.nonNull }
 
-// AliasRebuilds returns the number of alias-table rebuilds performed,
-// or 0 when the Fenwick sampler is active (benchmark instrumentation).
-func (r *CountRunner) AliasRebuilds() uint64 {
-	if a, ok := r.smp.(*aliasSampler); ok {
-		return a.Rebuilds()
+// ensure builds the event weights and RNG on first use, honoring the
+// Obs field assigned after construction.
+func (r *CountRunner) ensure() {
+	if r.ev != nil {
+		return
 	}
-	return 0
-}
-
-// ensure builds the census, sampler and RNG on first use, honoring
-// Sampler/Obs fields assigned after construction.
-func (r *CountRunner) ensure() error {
-	if r.ready {
-		return nil
-	}
-	census, err := core.NewCensusCounts(r.tab, r.Cfg.Counts)
-	if err != nil {
-		return err
-	}
-	smp, err := newCountSampler(r.Sampler, r.Cfg.Counts, r.n)
-	if err != nil {
-		return err
-	}
-	r.census, r.smp = census, smp
+	r.ev = newCountEvents(r.tab, r.Cfg.Counts, r.Cfg.Leader)
 	r.rng = newCountRNG(r.Seed)
 	if r.Obs != nil {
 		r.Obs.CompileRules(r.tab)
 		r.Obs.TrackCensus(r.Cfg.Counts)
 	}
-	r.ready = true
-	return nil
 }
 
-func (r *CountRunner) silent() bool { return r.census.Silent(r.Cfg.Leader) }
+func (r *CountRunner) silent() bool { return r.ev.silent() }
 
 func (r *CountRunner) quietThreshold() int {
 	if r.QuietThreshold > 0 {
@@ -511,85 +418,26 @@ func (r *CountRunner) quietThreshold() int {
 	return t
 }
 
-// step executes one interaction and reports whether it was non-null,
-// recording it into oc when the run is observed (oc non-nil).
-func (r *CountRunner) step(oc *obs.Chunk) bool {
-	// With a leader, a uniformly random ordered pair of the N+1
-	// entities involves the leader with probability 2N/((N+1)N) =
-	// 2/(N+1); the mobile peer is uniform over the N agents, i.e. its
-	// state is drawn ∝ c. Initiator/responder roles collapse, exactly
-	// as the agent engine's ApplyLeader does.
-	if r.lp != nil && r.rng.uint64n(uint64(r.n)+1) < 2 {
-		x := r.smp.draw(&r.rng)
-		l2, x2 := r.lp.LeaderInteract(r.Cfg.Leader, x)
-		changed := x2 != x || l2 != r.Cfg.Leader
-		r.Cfg.Leader = l2
-		if x2 != x {
-			r.census.ApplyOne(x, x2)
-			r.smp.sync(x)
-			r.smp.sync(x2)
-		}
-		if oc != nil && changed {
-			oc.Fire(obs.RuleKey{Leader: true, X: x, X2: x2})
-		}
-		return changed
-	}
-	p := r.smp.draw(&r.rng)
-	q := r.drawResponder(p)
-	idx := r.tab.Idx(p, q)
-	p2, q2 := r.tab.At(idx)
-	changed := p2 != p || q2 != q
-	if changed {
-		r.census.Apply(p, q, p2, q2)
-		r.smp.sync(p)
-		r.smp.sync(q)
-		r.smp.sync(p2)
-		r.smp.sync(q2)
-		if oc != nil {
-			oc.Rule(idx)
-		}
-	}
-	return changed
-}
-
-// drawResponder draws the responder state: a c-proportional draw that,
-// when it collides with the initiator's state p, is kept only with
-// probability (c[p]−1)/c[p] — the chance that a uniformly random agent
-// of state p is not the initiator itself. The accepted draw is exactly
-// the state of a uniformly random agent among the other N−1; the
-// rejection probability is 1/N per attempt.
-func (r *CountRunner) drawResponder(p core.State) core.State {
-	for {
-		q := r.smp.draw(&r.rng)
-		if q != p {
-			return q
-		}
-		if cp := uint64(r.Cfg.Counts[p]); r.rng.uint64n(cp) < cp-1 {
-			return q
-		}
-	}
-}
-
 // Run executes interactions until the configuration is silent or
 // maxSteps interactions have been executed. Silence is checked
 // initially and then whenever the execution has been quiet (all-null)
 // for a full QuietThreshold window — the same schedule as Runner.Run,
 // so the two engines' Steps distributions are comparable. When Obs is
-// set, Run finishes it before returning. The error reports an unknown
-// Sampler.
-func (r *CountRunner) Run(maxSteps int) (Result, error) {
-	if err := r.ensure(); err != nil {
-		return Result{}, err
-	}
+// set, Run finishes it before returning.
+func (r *CountRunner) Run(maxSteps int) Result {
 	res := r.run(maxSteps)
 	r.finish(res.Converged)
-	return res, nil
+	return res
 }
 
+// run advances the jump chain one non-null event at a time, each after
+// its geometric run of nulls. Interaction counts, quiet streaks and
+// observer records come out as if every null had been stepped: a skip
+// stops at maxSteps and at every chunk boundary (and is redrawn after
+// it), and a silent configuration idles to the next full quiet window,
+// where the per-step loop would have tested silence.
 func (r *CountRunner) run(maxSteps int) Result {
-	if err := r.ensure(); err != nil {
-		panic(err)
-	}
+	r.ensure()
 	if r.silent() {
 		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
 	}
@@ -609,27 +457,94 @@ func (r *CountRunner) run(maxSteps int) Result {
 			end = r.steps + oc.Room(maxSteps-r.steps)
 		}
 		for r.steps < end {
-			changed := r.step(oc)
-			if oc != nil {
-				oc.Step(changed)
-			}
-			r.steps++
-			if changed {
-				r.nonNull++
-				r.quiet = 0
-			} else {
-				r.quiet++
-				if r.quiet%threshold == 0 && r.silent() {
+			room := end - r.steps
+			weight := r.ev.mobile + 2*r.ev.leader
+			if weight == 0 {
+				if idle := threshold - r.quiet%threshold; idle <= room {
+					r.nulls(idle, oc)
 					silent = true
-					break
+				} else {
+					r.nulls(room, oc)
 				}
+				break
 			}
+			g, u := r.jump(weight)
+			if g >= float64(room) {
+				r.nulls(room, oc)
+				break
+			}
+			if g > 0 {
+				r.nulls(int(g), oc)
+			}
+			r.event(u, oc)
 		}
 		if oc != nil {
 			oc.Fold()
 		}
 	}
 	return Result{Converged: silent || r.silent(), Steps: r.steps, NonNull: r.nonNull, Census: r.Cfg}
+}
+
+// nulls advances the counters by k null interactions.
+func (r *CountRunner) nulls(k int, oc *obs.Chunk) {
+	r.steps += k
+	r.quiet += k
+	if oc != nil {
+		oc.Nulls(k)
+	}
+}
+
+// jump draws the run of nulls before the next non-null event, g ~
+// Geometric(weight/T) as a float64 (it can exceed any int budget), and
+// the event's weight index u ∈ [0, weight). g = 0 is decided exactly,
+// by an integer draw that is then uniform on [0, weight) itself; g ≥ 1
+// is inverted in float64 and followed by a fresh event draw.
+func (r *CountRunner) jump(weight uint64) (g float64, u uint64) {
+	if u = r.rng.uint64n(r.total); u < weight {
+		return 0, u
+	}
+	p := float64(weight) / float64(r.total)
+	g = 1 + math.Floor(r.rng.exp()/-math.Log1p(-p))
+	return g, r.rng.uint64n(weight)
+}
+
+// event applies the non-null event of weight index u (see
+// countEvents.draw).
+func (r *CountRunner) event(u uint64, oc *obs.Chunk) {
+	ev := r.ev
+	x, y, leader := ev.draw(u, &r.rng)
+	if leader {
+		l := r.Cfg.Leader
+		l2, x2 := ev.lp.LeaderInteract(l, x)
+		if x2 != x {
+			ev.move(x, x2)
+		}
+		if l2 != l {
+			r.Cfg.Leader = l2
+			ev.setLeader(l2)
+		}
+		if oc != nil {
+			oc.LeaderRule(x, x2)
+		}
+	} else {
+		idx := r.tab.Idx(x, y)
+		x2, y2 := r.tab.At(idx)
+		if x2 != x {
+			ev.move(x, x2)
+		}
+		if y2 != y {
+			ev.move(y, y2)
+		}
+		if oc != nil {
+			oc.Rule(idx)
+		}
+	}
+	r.steps++
+	r.nonNull++
+	r.quiet = 0
+	if oc != nil {
+		oc.Step(true)
+	}
 }
 
 // Observer returns the attached observer (nil when unobserved).

@@ -8,14 +8,13 @@ import (
 	"popnaming/internal/sched"
 )
 
-// The BENCH_PR7 suite: per-step cost of the count engine across four
-// decades of population size (the flatness claim), the agent engine's
-// ladder for comparison (it stops at 10⁶ — an agent array per step is
-// exactly what the count engine exists to avoid), the two samplers
-// head-to-head across |Q| (the "pick via benchmark" decision), and the
-// alias-table rebuild cost in isolation.
+// The BENCH_PR7 suite: per-interaction cost of the count engine across
+// four decades of population size (the flatness claim), the agent
+// engine's ladder for comparison (it stops at 10⁶ — an agent array per
+// step is exactly what the count engine exists to avoid), and one
+// jump-chain event (draw plus weight update) in isolation across |Q|.
 
-func benchCountScale(b *testing.B, n int, sampler string) {
+func benchCountScale(b *testing.B, n int) {
 	pr := churnProto(8)
 	cc := core.NewCountConfig(8)
 	cc.Counts[0] = n
@@ -23,10 +22,7 @@ func benchCountScale(b *testing.B, n int, sampler string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Sampler = sampler
-	if err := r.ensure(); err != nil {
-		b.Fatal(err)
-	}
+	r.ensure()
 	b.ReportAllocs()
 	b.ResetTimer()
 	res := r.run(b.N)
@@ -34,16 +30,18 @@ func benchCountScale(b *testing.B, n int, sampler string) {
 	if res.Steps != b.N {
 		b.Fatalf("ran %d of %d steps (converged early?)", res.Steps, b.N)
 	}
-	b.ReportMetric(float64(r.AliasRebuilds())/float64(b.N), "rebuilds/op")
+	b.ReportMetric(float64(res.NonNull)/float64(b.N), "nonnull/op")
 }
 
-// BenchmarkCountEngineScale measures per-step cost at N = 10⁴ … 10⁸.
-// The acceptance bar: steps/sec within 2× across the whole range (the
-// step loop never touches anything N-sized).
+// BenchmarkCountEngineScale measures per-interaction cost at
+// N = 10⁴ … 10⁸ from an all-zero churn start. Nothing N-sized is ever
+// touched; the cost per interaction follows the non-null share
+// (nonnull/op), since the jump chain pays per non-null event and skips
+// the nulls in bulk.
 func BenchmarkCountEngineScale(b *testing.B) {
 	for _, n := range []int{1e4, 1e5, 1e6, 1e7, 1e8} {
 		b.Run(fmt.Sprintf("N=%.0e", float64(n)), func(b *testing.B) {
-			benchCountScale(b, n, "auto")
+			benchCountScale(b, n)
 		})
 	}
 }
@@ -72,53 +70,32 @@ func BenchmarkAgentEngineScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCountSampler compares the two sampler implementations across
-// state-space sizes at fixed N = 10⁶; the winner is wired as "auto"
-// (see CountSamplers).
-func BenchmarkCountSampler(b *testing.B) {
-	for _, sampler := range []string{"fenwick", "alias"} {
-		for _, q := range []int{8, 64, 1024} {
-			b.Run(fmt.Sprintf("%s/Q=%d", sampler, q), func(b *testing.B) {
-				pr := churnProto(q)
-				cc := core.NewCountConfig(q)
-				cc.Counts[0] = 1e6
-				r, err := NewCountRunner(pr, cc, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r.Sampler = sampler
-				if err := r.ensure(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				res := r.run(b.N)
-				b.StopTimer()
-				if res.Steps != b.N {
-					b.Fatalf("ran %d of %d steps", res.Steps, b.N)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAliasRebuild isolates the cost of one alias-table rebuild
-// (snapshot + integer Vose repack), the amortized price the lazy
-// strategy pays every ≥ 32 transitions.
-func BenchmarkAliasRebuild(b *testing.B) {
+// BenchmarkCountEvent isolates one jump-chain event at N = 10⁶ across
+// state-space sizes: the weighted pair draw (initiator tree descent,
+// responder row scan) and the weight updates of the transition it
+// fires. On churn every event moves one agent along the diagonal, the
+// sparse shape of the naming protocols.
+func BenchmarkCountEvent(b *testing.B) {
 	for _, q := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("Q=%d", q), func(b *testing.B) {
+			tab := core.MustCompile(churnProto(q))
 			counts := make([]int, q)
-			n := 0
 			for i := range counts {
-				counts[i] = 1000 + i
-				n += counts[i]
+				counts[i] = 1e6 / q
 			}
-			a := newAliasSampler(counts, n)
+			ev := newCountEvents(tab, counts, core.Leader{})
+			rng := newCountRNG(7)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.rebuild()
+				x, y, _ := ev.draw(rng.uint64n(ev.mobile), &rng)
+				x2, y2 := tab.Mobile(x, y)
+				if x2 != x {
+					ev.move(x, x2)
+				}
+				if y2 != y {
+					ev.move(y, y2)
+				}
 			}
 		})
 	}

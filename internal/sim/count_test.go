@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -39,148 +40,76 @@ func (oversized) States() int                                     { return maxCo
 func (oversized) Symmetric() bool                                 { return true }
 func (oversized) Mobile(x, y core.State) (core.State, core.State) { return x, y }
 
-func checkProportional(t *testing.T, name string, s countSampler, rng *countRNG, counts []int, draws int) {
-	t.Helper()
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	freq := make([]int, len(counts))
-	for i := 0; i < draws; i++ {
-		freq[s.draw(rng)]++
-	}
-	for st, c := range counts {
-		want := float64(draws) * float64(c) / float64(n)
-		got := float64(freq[st])
-		if c == 0 {
-			if freq[st] != 0 {
-				t.Fatalf("%s: drew empty state %d (%d times)", name, st, freq[st])
-			}
-			continue
-		}
-		// 5 sigma on a binomial with p = c/n.
-		p := float64(c) / float64(n)
-		sigma := 5 * sqrtf(float64(draws)*p*(1-p))
-		if got < want-sigma || got > want+sigma {
-			t.Errorf("%s: state %d drawn %v times, want %v ± %v", name, st, got, want, sigma)
-		}
-	}
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
+// TestCountSamplerProportional checks the Fenwick tree behind the
+// initiator draw: a uniform index into the total weight lands on each
+// entry in proportion to its weight (never on a zero one), before and
+// after point updates, decreases included.
 func TestCountSamplerProportional(t *testing.T) {
-	counts := []int{5, 0, 3, 2}
-	for _, name := range []string{"fenwick", "alias"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			local := append([]int(nil), counts...)
-			s, err := newCountSampler(name, local, 10)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("fenwick", func(t *testing.T) {
+		weights := []uint64{5, 0, 3, 2, 7}
+		f := newFenwick(len(weights))
+		for i, w := range weights {
+			f.add(i, w)
+		}
+		rng := newCountRNG(42)
+		check := func(stage string) {
+			t.Helper()
+			var total uint64
+			for _, w := range weights {
+				total += w
 			}
-			rng := newCountRNG(42)
-			checkProportional(t, name, s, &rng, local, 50000)
-
-			// Mutate (conserving N) and sync: 0 → 1 twice, 2 → 3 once.
-			local[0] -= 2
-			local[1] += 2
-			local[2]--
-			local[3]++
-			for st := range local {
-				s.sync(core.State(st))
+			const draws = 50000
+			freq := make([]int, len(weights))
+			for i := 0; i < draws; i++ {
+				freq[f.find(rng.uint64n(total))]++
 			}
-			checkProportional(t, name+"/after-sync", s, &rng, local, 50000)
-		})
-	}
+			for i, w := range weights {
+				p := float64(w) / float64(total)
+				want := draws * p
+				sigma := 5 * math.Sqrt(draws*p*(1-p))
+				if got := float64(freq[i]); w == 0 && freq[i] != 0 || got < want-sigma || got > want+sigma {
+					t.Errorf("%s: entry %d (weight %d) drawn %v times, want %v ± %v", stage, i, w, got, want, sigma)
+				}
+			}
+		}
+		check("built")
+		for i, d := range []int64{-4, 6, 0, 3, -7} {
+			weights[i] = uint64(int64(weights[i]) + d)
+			f.add(i, uint64(d))
+		}
+		check("updated")
+	})
 }
 
-// TestAliasSamplerStale exercises the staleness-rejection path: with
-// N = 10 the rebuild threshold is 64, so small mutations keep the
-// snapshot stale and every draw goes through the d⁺ mixture.
-func TestAliasSamplerStale(t *testing.T) {
-	counts := []int{4, 4, 2, 0}
-	a := newAliasSampler(counts, 10)
-	rng := newCountRNG(7)
-	// Drain state 0 into state 3 entirely: snapshot still claims 4.
-	for i := 0; i < 4; i++ {
-		counts[0]--
-		counts[3]++
-		a.sync(0)
-		a.sync(3)
-	}
-	if a.dtot == 0 {
-		t.Fatal("expected a stale snapshot (dtot > 0)")
-	}
-	checkProportional(t, "alias/stale", a, &rng, counts, 50000)
-	if a.Rebuilds() != 1 {
-		t.Fatalf("unexpected rebuild: %d (want the constructor's only)", a.Rebuilds())
-	}
-}
-
-// TestAliasSamplerRebuild forces enough drift to cross the rebuild
-// threshold and checks the rebuilt table is exact again.
-func TestAliasSamplerRebuild(t *testing.T) {
-	n := 1000
-	counts := make([]int, 4)
-	counts[0] = n
-	a := newAliasSampler(counts, n)
-	rng := newCountRNG(11)
-	// Move agents 0 → 1 until D⁺ crosses max(64, n/8) = 125.
-	for i := 0; i < 200; i++ {
-		counts[0]--
-		counts[1]++
-		a.sync(0)
-		a.sync(1)
-	}
-	if a.Rebuilds() < 2 {
-		t.Fatalf("rebuilds = %d, want ≥ 2 after 200 moves with threshold 125", a.Rebuilds())
-	}
-	if a.dtot != 0 && a.dtot >= a.rebuildAt {
-		t.Fatalf("dtot %d not reset below threshold %d", a.dtot, a.rebuildAt)
-	}
-	checkProportional(t, "alias/rebuilt", a, &rng, counts, 50000)
-}
-
+// TestCountRunnerConverges runs the engine, whose initiator draw is a
+// Fenwick tree over the non-null row weights, to silence.
 func TestCountRunnerConverges(t *testing.T) {
-	pr := mergeProto()
-	for _, sampler := range []string{"fenwick", "alias"} {
-		sampler := sampler
-		t.Run(sampler, func(t *testing.T) {
-			cc := core.NewCountConfig(3)
-			cc.Counts[0], cc.Counts[1] = 50, 50
-			r, err := NewCountRunner(pr, cc, 123)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Sampler = sampler
-			res, err := r.Run(10_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatalf("did not converge: %v", res)
-			}
-			if cc.N() != 100 {
-				t.Fatalf("population not conserved: %d", cc.N())
-			}
-			if cc.Counts[0] != 0 && cc.Counts[1] != 0 {
-				t.Fatalf("silent but both 0 and 1 occupied: %v", cc)
-			}
-			if res.NonNull == 0 || res.Steps < res.NonNull {
-				t.Fatalf("implausible counters: %v", res)
-			}
-		})
-	}
+	t.Run("fenwick", func(t *testing.T) {
+		cc := core.NewCountConfig(3)
+		cc.Counts[0], cc.Counts[1] = 50, 50
+		r, err := NewCountRunner(mergeProto(), cc, 123)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.Run(10_000_000)
+		if !res.Converged {
+			t.Fatalf("did not converge: %v", res)
+		}
+		if cc.N() != 100 {
+			t.Fatalf("population not conserved: %d", cc.N())
+		}
+		if cc.Counts[0] != 0 && cc.Counts[1] != 0 {
+			t.Fatalf("silent but both 0 and 1 occupied: %v", cc)
+		}
+		if res.NonNull == 0 || res.Steps < res.NonNull {
+			t.Fatalf("implausible counters: %v", res)
+		}
+		// Silence is reported where the per-step loop tests it: after one
+		// full quiet window behind the last non-null interaction.
+		if q, w := r.quietStreak(), r.quietThreshold(); q != w {
+			t.Fatalf("converged with a quiet tail of %d, want one window of %d", q, w)
+		}
+	})
 }
 
 func TestCountRunnerSilentStart(t *testing.T) {
@@ -191,10 +120,7 @@ func TestCountRunnerSilentStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := r.Run(1000)
 	if !res.Converged || res.Steps != 0 {
 		t.Fatalf("silent start should converge in 0 steps: %v", res)
 	}
@@ -208,17 +134,13 @@ func TestCountRunnerConservesN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ensure(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		r.step(nil)
-		if i%1000 == 0 && cc.N() != 1000 {
-			t.Fatalf("step %d: population drifted to %d", i, cc.N())
+	for steps := 1000; steps <= 20000; steps += 1000 {
+		if res := r.run(steps); res.Steps != steps {
+			t.Fatalf("ran to step %d, want %d", res.Steps, steps)
 		}
-	}
-	if cc.N() != 1000 {
-		t.Fatalf("population drifted to %d", cc.N())
+		if cc.N() != 1000 {
+			t.Fatalf("step %d: population drifted to %d", steps, cc.N())
+		}
 	}
 }
 
@@ -229,16 +151,16 @@ func TestDrawResponderExcludesSoleAgent(t *testing.T) {
 	pr := churnProto(4)
 	cc := core.NewCountConfig(4)
 	cc.Counts[0], cc.Counts[1] = 1, 9
-	r, err := NewCountRunner(pr, cc, 5)
-	if err != nil {
-		t.Fatal(err)
+	// churn's non-null pairs are the diagonal ones, and (0, 0) has no
+	// weight with one agent: every draw must be (1, 1).
+	ev := newCountEvents(core.MustCompile(pr), cc.Counts, core.Leader{})
+	if want := uint64(9 * 8); ev.mobile != want {
+		t.Fatalf("mobile weight %d, want %d", ev.mobile, want)
 	}
-	if err := r.ensure(); err != nil {
-		t.Fatal(err)
-	}
+	rng := newCountRNG(5)
 	for i := 0; i < 5000; i++ {
-		if q := r.drawResponder(0); q == 0 {
-			t.Fatal("responder collided with the sole agent of state 0")
+		if x, y, _ := ev.draw(rng.uint64n(ev.mobile), &rng); x != 1 || y != 1 {
+			t.Fatalf("drew (%d, %d); the sole agent of state 0 has no partner", x, y)
 		}
 	}
 }
@@ -315,10 +237,7 @@ func TestCountRunnerObserver(t *testing.T) {
 		ProgressEvery: 500,
 		NoPairs:       true,
 	})
-	res, err := r.Run(10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := r.Run(10_000_000)
 	if !res.Converged {
 		t.Fatalf("did not converge: %v", res)
 	}
@@ -413,20 +332,6 @@ func TestStartTrial(t *testing.T) {
 	}
 }
 
-func TestValidCountSampler(t *testing.T) {
-	for _, ok := range []string{"", "auto", "fenwick", "alias"} {
-		if !ValidCountSampler(ok) {
-			t.Errorf("ValidCountSampler(%q) = false", ok)
-		}
-	}
-	if ValidCountSampler("bogus") {
-		t.Error("ValidCountSampler(bogus) = true")
-	}
-	if _, err := newCountSampler("bogus", []int{1, 1}, 2); err == nil {
-		t.Error("newCountSampler(bogus): want error")
-	}
-}
-
 // syncSink is a concurrency-safe record sink for batch tests.
 type syncSink struct {
 	mu   sync.Mutex
@@ -444,4 +349,147 @@ func (s *syncSink) take() []any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recs
+}
+
+// TestCountOneStepLaw holds the jump chain's step to the exact law of
+// the per-interaction chain it replaces: from a fixed configuration the
+// number G of nulls before the next non-null event is Geometric(p) with
+// p = (W+2L)/T, and that event is independent of G, each non-null
+// ordered pair (x, y) drawn with probability c[x]·(c[y]−[x=y])/(W+2L)
+// and each leader meeting with state s with probability 2·c[s]/(W+2L).
+// The expected law is computed from the protocol itself, not from the
+// engine's weights, and a chi-square test over (G bucket, event) cells
+// compares it with 20000 draws per configuration. The configurations
+// cover diagonal and off-diagonal rules, a non-null row of several
+// states (the responder scan) next to one-state rows, a sole agent of
+// a reactive state (c[x] = 1, so (x, x) has no weight), a leader whose
+// rules change the leader, the peer or both, and p small enough that G
+// runs into the dozens.
+func TestCountOneStepLaw(t *testing.T) {
+	leadered := &tableLeader{
+		RuleTable: core.NewRuleTable("law", 3, 3).Add(1, 1, 1, 2).AddSymmetric(0, 2, 2, 2),
+		next: []leaderMove{
+			{1, 1}, {0, 1}, {0, 0}, // r=0: x=0 moves both, x=1 is null, x=2 moves the peer
+			{0, 0}, {1, 2}, {1, 2}, // r=1: x=0 moves the leader back, x=1 moves the peer, x=2 is null
+			{2, 0}, {2, 1}, {2, 2}, // r=2: unused
+		},
+	}
+	cases := []struct {
+		name   string
+		pr     core.Protocol
+		counts []int
+		leader core.Leader
+	}{
+		{"diagonal/sole", churnProto(4), []int{1, 3, 2, 0}, core.Leader{}},
+		{"off-diagonal", mergeProto(), []int{2, 3, 1}, core.Leader{}},
+		{"row", core.NewRuleTable("row", 3, 3).Add(0, 0, 0, 1).Add(0, 1, 0, 2).Add(0, 2, 1, 2).Add(2, 0, 2, 2), []int{2, 1, 3}, core.Leader{}},
+		{"leader", leadered, []int{1, 2, 1}, leadered.InitLeader()},
+		{"leader/moved", leadered, []int{2, 1, 3}, tableLeaderKind.New(1)},
+		{"rare", churnProto(8), []int{2, 1, 1, 1, 1, 1, 1, 1}, core.Leader{}},
+	}
+	const draws = 20000
+	for ci, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cc := &core.CountConfig{Counts: append([]int(nil), c.counts...), Leader: c.leader}
+			r, err := NewCountRunner(c.pr, cc, int64(100+ci))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.ensure()
+
+			// The exact law, from the protocol.
+			type event struct {
+				x, y   core.State
+				leader bool
+			}
+			weights := map[event]float64{}
+			var total float64
+			for x, cx := range cc.Counts {
+				for y, cy := range cc.Counts {
+					if x == y {
+						cy--
+					}
+					if w := float64(cx * cy); w > 0 && !core.IsNullMobile(c.pr, core.State(x), core.State(y)) {
+						weights[event{core.State(x), core.State(y), false}] = w
+						total += w
+					}
+				}
+				if lp, ok := c.pr.(core.LeaderProtocol); ok && cx > 0 && !core.IsNullLeader(lp, cc.Leader, core.State(x)) {
+					weights[event{x: core.State(x), leader: true}] = 2 * float64(cx)
+					total += 2 * float64(cx)
+				}
+			}
+			n := float64(cc.N())
+			pairs := n * (n - 1)
+			if cc.HasLeader() {
+				pairs = (n + 1) * n
+			}
+			p := total / pairs
+			// G buckets [edges[i], edges[i+1]), the last one open, each
+			// holding at least 10% of the geometric mass.
+			edges, bucketP := []int{0}, []float64(nil)
+			for g, mass, tail := 0, 0.0, 1.0; ; g++ {
+				pg := math.Pow(1-p, float64(g)) * p
+				mass += pg
+				tail -= pg
+				if mass >= 0.1 {
+					bucketP = append(bucketP, mass)
+					mass = 0
+					edges = append(edges, g+1)
+					if tail < 0.2 {
+						bucketP = append(bucketP, tail)
+						break
+					}
+				}
+			}
+			bucket := func(g float64) int {
+				for i := len(edges) - 1; i >= 0; i-- {
+					if g >= float64(edges[i]) {
+						return i
+					}
+				}
+				panic("negative skip")
+			}
+
+			seen := map[event][]int{}
+			weight := r.ev.mobile + 2*r.ev.leader
+			if float64(weight) != total {
+				t.Fatalf("engine weight %d, protocol weight %v", weight, total)
+			}
+			for i := 0; i < draws; i++ {
+				g, u := r.jump(weight)
+				x, y, leader := r.ev.draw(u, &r.rng)
+				e := event{x, y, leader}
+				if leader {
+					e.y = 0
+				}
+				if _, ok := weights[e]; !ok {
+					t.Fatalf("drew %+v, which has no weight under the exact law", e)
+				}
+				if seen[e] == nil {
+					seen[e] = make([]int, len(bucketP))
+				}
+				seen[e][bucket(g)]++
+			}
+			chi, cells := 0.0, 0
+			for e, w := range weights {
+				for b, pb := range bucketP {
+					want := draws * pb * w / total
+					got := 0.0
+					if seen[e] != nil {
+						got = float64(seen[e][b])
+					}
+					chi += (got - want) * (got - want) / want
+					cells++
+				}
+			}
+			// Wilson–Hilferty upper quantile of chi-square at alpha 1e-4.
+			df := float64(cells - 1)
+			crit := df * math.Pow(1-2/(9*df)+3.719*math.Sqrt(2/(9*df)), 3)
+			t.Logf("p = %.4f, %d G buckets × %d events: chi² = %.1f, critical %.1f", p, len(bucketP), len(weights), chi, crit)
+			if chi > crit {
+				t.Fatalf("one-step law rejected: chi² = %.1f > %.1f over %d cells", chi, crit, cells)
+			}
+		})
+	}
 }

@@ -229,9 +229,7 @@ func churnExecutor(t testing.TB, engine string, o *obs.Observer) Executor {
 			t.Fatal(err)
 		}
 		r.Obs = o
-		if err := r.ensure(); err != nil {
-			t.Fatal(err)
-		}
+		r.ensure()
 		return r
 	}
 	r := NewRunner(pr, sched.NewRandom(n, false, 1), core.NewConfig(n, 0))
@@ -326,6 +324,45 @@ func TestObservedRunNoAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("observed run allocates %v per 1000 interactions, want 0", allocs)
+			}
+		})
+		// Leader interactions count into the observer's dense leader
+		// table, not its rule map: a leader that changes at every
+		// meeting allocates nothing either.
+		t.Run(engine+"/leader", func(t *testing.T) {
+			const n = 64
+			pr := &tableLeader{RuleTable: churnProto(8).(*core.RuleTable), next: make([]leaderMove, 3*8)}
+			for i := range pr.next {
+				pr.next[i] = leaderMove{r: (i/8 + 1) % 3, x: core.State(i % 8)}
+			}
+			o := obs.NewObserver(n, true, obs.ObserverOptions{Sink: obs.Discard, ProgressEvery: 1 << 30, NoPairs: engine == "count"})
+			var ex Executor
+			if engine == "count" {
+				cc := core.NewCountConfig(8)
+				cc.Counts[0], cc.Leader = n, pr.InitLeader()
+				r, err := NewCountRunner(pr, cc, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Obs = o
+				r.ensure()
+				ex = r
+			} else {
+				r := NewRunner(pr, sched.NewRandom(n, true, 1), core.NewConfig(n, 0).WithLeader(pr.InitLeader()))
+				r.Obs = o
+				if !r.Compiled() {
+					t.Fatal("compiled engine unavailable")
+				}
+				ex = r
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				ex.run(ex.snapshot().Steps + 1000)
+			})
+			if allocs != 0 {
+				t.Fatalf("observed leader run allocates %v per 1000 interactions, want 0", allocs)
+			}
+			if rules := o.RuleCounts(); len(rules) == 0 {
+				t.Fatal("no rule firings recorded")
 			}
 		})
 	}

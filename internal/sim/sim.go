@@ -412,6 +412,9 @@ func (r *Runner) runCompiled(bound int) bool {
 		nonNull   = r.nonNull
 		quiet     = r.quiet
 		silent    = false
+		// untilCheck counts down to the next silence check, made when
+		// quiet reaches a multiple of threshold.
+		untilCheck = threshold - quiet%threshold
 	)
 	if o != nil {
 		o.CompileRules(tab)
@@ -445,7 +448,7 @@ func (r *Runner) runCompiled(bound int) bool {
 					cs.ApplyOne(x, x2)
 				}
 				if o != nil && changed {
-					oc.Fire(obs.RuleKey{Leader: true, X: x, X2: x2})
+					oc.LeaderRule(x, x2)
 				}
 			}
 			if o != nil {
@@ -456,11 +459,15 @@ func (r *Runner) runCompiled(bound int) bool {
 			if changed {
 				nonNull++
 				quiet = 0
+				untilCheck = threshold
 			} else {
 				quiet++
-				if quiet%threshold == 0 && cs.Silent(r.Cfg.Leader) {
-					silent = true
-					break
+				if untilCheck--; untilCheck == 0 {
+					untilCheck = threshold
+					if cs.Silent(r.Cfg.Leader) {
+						silent = true
+						break
+					}
 				}
 			}
 		}
